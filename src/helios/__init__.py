@@ -1,10 +1,10 @@
 """Near-field recovery from the scattering amplitude.
 
 Evaluates rescaled spherical Hankel functions through their exact finite
-sum, certifies explicit magnitude envelopes, computes the stability
-budget (Lipschitz / Hoelder / a-priori split) of far-to-near field
-continuation, and solves the inverse obstacle problem linearized about a
-sphere.
+sum and a vectorized recurrence table checked against it, certifies
+explicit magnitude envelopes, computes the stability budget (Lipschitz /
+Hoelder / a-priori split) of far-to-near field continuation, and solves
+the inverse obstacle problem linearized about a sphere.
 """
 
 from .bounds import (
@@ -50,6 +50,7 @@ from .specfun import (
     hankel_magnitude_oracle,
     hankel_paper,
     hankel_paper_deriv,
+    hankel_table,
     hankel_value,
 )
 from .stability import (

@@ -15,19 +15,23 @@ positive argument. Strict inequality is required and ties count as
 violations, with one exception: at n = 0 the two global envelopes
 coincide identically with the function they bound, so there the check is
 agreement within a few ulps rather than strict dominance.
+
+The envelope functions and the verdict rule accept scalars or broadcast
+arrays, so `check_point` (one point, magnitude from the double-double
+finite sum) and `sweep` (a whole grid, magnitudes from one
+`hankel_table` call) share a single definition of each formula.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .specfun import hankel_value
-from .util import worker_count
+from .specfun import hankel_table, hankel_value
+from .util import require_finite
 
 _SQRT2_OVER_SQRTPI = math.sqrt(2.0 / math.pi)
 
@@ -45,37 +49,37 @@ class EnvelopeReport:
     satisfied: bool
 
 
-def _check_t(t: float) -> None:
-    if not t > 0.0:
+def _check_t(t) -> None:
+    if not np.all(np.greater(t, 0.0)):
         raise DomainError(f"argument must be positive, got t={t}")
 
 
-def low_frequency_applicable(n: int, t: float) -> bool:
+def low_frequency_applicable(n, t):
     return n * n < t
 
 
-def lemma_low_bound(n: int, t: float) -> float:
+def lemma_low_bound(n, t):
     """Low-frequency envelope for |H_n(t)| (applicable when n^2 < t)."""
     _check_t(t)
     return _SQRT2_OVER_SQRTPI * math.e / t
 
 
-def lemma_global_bound(n: int, t: float) -> float:
+def lemma_global_bound(n, t):
     """Global envelope for |H_n(t)|."""
     _check_t(t)
     return _SQRT2_OVER_SQRTPI / t * (1.0 + n / t) ** n
 
 
-def lemma_low_deriv_bound(n: int, t: float) -> float:
+def lemma_low_deriv_bound(n, t):
     """Low-frequency envelope for |H_n'(t)| (applicable when n^2 < t)."""
     _check_t(t)
-    return _SQRT2_OVER_SQRTPI * math.e * (math.hypot(t, 1.0) + 1.0) / (t * t)
+    return _SQRT2_OVER_SQRTPI * math.e * (np.hypot(t, 1.0) + 1.0) / (t * t)
 
 
-def lemma_global_deriv_bound(n: int, t: float) -> float:
+def lemma_global_deriv_bound(n, t):
     """Global envelope for |H_n'(t)|."""
     _check_t(t)
-    return _SQRT2_OVER_SQRTPI / t * (math.hypot(t, 1.0) / t + n / t) * (1.0 + n / t) ** n
+    return _SQRT2_OVER_SQRTPI / t * (np.hypot(t, 1.0) / t + n / t) * (1.0 + n / t) ** n
 
 
 _BOUND_FUNCS = {
@@ -86,30 +90,39 @@ _BOUND_FUNCS = {
 }
 
 
-def check_point(kind: str, n: int, t: float, _h=None) -> EnvelopeReport:
-    """Evaluate one envelope against the computed Hankel magnitude."""
+def _judge(kind: str, n, t, magnitude):
+    """(bound, applicable, satisfied) of one envelope kind, on scalars or
+    on arrays broadcast together."""
     if kind not in _BOUND_FUNCS:
         raise DomainError(f"unknown envelope kind {kind!r}")
-    h = hankel_value(n, t) if _h is None else _h
-    magnitude = abs(h.derivative) if kind.endswith("deriv") else abs(h.value)
     bound = _BOUND_FUNCS[kind](n, t)
-    applicable = True if kind.startswith("global") else low_frequency_applicable(n, t)
+    is_global = kind.startswith("global")
+    applicable = np.logical_or(is_global, low_frequency_applicable(n, t))
     # n = 0 global envelopes equal the function identically; accept
     # round-off-level agreement there instead of strict dominance.
-    exactly_tight = n == 0 and kind.startswith("global")
-    satisfied = magnitude < bound or (exactly_tight and magnitude <= bound * (1.0 + 1e-12))
+    exactly_tight = np.logical_and(is_global, np.equal(n, 0))
+    satisfied = (magnitude < bound) | (exactly_tight & (magnitude <= bound * (1.0 + 1e-12)))
+    return bound, applicable, satisfied
+
+
+def check_point(kind: str, n: int, t: float) -> EnvelopeReport:
+    """Evaluate one envelope against the finite-sum Hankel magnitude."""
+    h = hankel_value(n, t)
+    magnitude = abs(h.derivative) if kind.endswith("deriv") else abs(h.value)
+    bound, applicable, satisfied = _judge(kind, n, t, magnitude)
     return EnvelopeReport(
         kind=kind,
         n=n,
         t=t,
         value_magnitude=magnitude,
-        bound=bound,
-        applicable=applicable,
-        satisfied=satisfied,
+        bound=float(bound),
+        applicable=bool(applicable),
+        satisfied=bool(satisfied),
     )
 
 
 def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
+    require_finite(tmin=tmin, tmax=tmax)
     if not (tmin > 0.0 and tmax >= tmin):
         raise DomainError(f"need 0 < tmin <= tmax, got [{tmin}, {tmax}]")
     if points < 1:
@@ -128,23 +141,24 @@ def sweep(
 ) -> list[EnvelopeReport]:
     """Check the requested envelopes on an (n, t) log grid.
 
-    Rows come back in deterministic (kind, n, t) order regardless of the
-    number of worker threads.
+    One `hankel_table` call gives every magnitude; rows come back in
+    (n, kind, t) order.
     """
     ts = log_grid(tmin, tmax, points)
-
-    def row(n: int) -> list[EnvelopeReport]:
-        # one Hankel evaluation per (n, t), shared by all envelope kinds
-        values = {float(t): hankel_value(n, float(t)) for t in ts}
-        return [
-            check_point(kind, n, t, _h=h)
-            for kind in kinds
-            for t, h in values.items()
-        ]
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        chunks = list(pool.map(row, range(nmax + 1)))
-    return [report for chunk in chunks for report in chunk]
+    values, derivatives = hankel_table(nmax, ts)
+    orders = np.arange(nmax + 1)[:, None]
+    columns = []
+    for kind in kinds:
+        magnitude = np.abs(derivatives if kind.endswith("deriv") else values)
+        judged = _judge(kind, orders, ts, magnitude)
+        columns.append((kind, magnitude, *np.broadcast_arrays(*judged)))
+    t_list = ts.tolist()
+    reports = []
+    for n in range(nmax + 1):
+        for kind, *grids in columns:
+            rows = [grid[n].tolist() for grid in grids]
+            reports.extend(EnvelopeReport(kind, n, *point) for point in zip(t_list, *rows))
+    return reports
 
 
 def violations(reports: list[EnvelopeReport]) -> list[EnvelopeReport]:

@@ -37,13 +37,18 @@ def cmd_bounds_check(args) -> int:
     reports = bounds_mod.sweep(
         nmax=args.nmax, tmin=args.tmin, tmax=args.tmax, points=args.points
     )
-    bad = bounds_mod.violations(reports)
-    applicable = sum(1 for r in reports if r.applicable)
+    checked = dict.fromkeys(bounds_mod.KINDS, 0)
+    failed = dict.fromkeys(bounds_mod.KINDS, 0)
+    bad = []
+    for r in reports:
+        if r.applicable:
+            checked[r.kind] += 1
+            if not r.satisfied:
+                failed[r.kind] += 1
+                bad.append(r)
     for kind in bounds_mod.KINDS:
-        kind_reports = [r for r in reports if r.kind == kind and r.applicable]
-        kind_bad = [r for r in kind_reports if not r.satisfied]
-        print(f"{kind}: {len(kind_reports)} points checked, {len(kind_bad)} violations")
-    print(f"total: {applicable} applicable points, {len(bad)} violations")
+        print(f"{kind}: {checked[kind]} points checked, {failed[kind]} violations")
+    print(f"total: {sum(checked.values())} applicable points, {len(bad)} violations")
     for r in bad[:20]:
         print(f"  VIOLATION {r.kind} n={r.n} t={io_mod.fmt(r.t)} "
               f"|H|={io_mod.fmt(r.value_magnitude)} bound={io_mod.fmt(r.bound)}")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DomainError
 from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate
-from .specfun import hankel_value
+from .specfun import hankel_table
+from .util import require_finite
 
 KR_MIN = 0.1
 
@@ -59,6 +60,7 @@ class AprioriBudget:
 
 
 def _check_kR(k: float, R: float) -> None:
+    require_finite(k=k, R=R)
     if not (k > 0.0 and R > 0.0):
         raise DomainError(f"k and R must be positive, got k={k}, R={R}")
     if k * R < KR_MIN:
@@ -66,16 +68,11 @@ def _check_kR(k: float, R: float) -> None:
 
 
 def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree."""
+    """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
+    the Hankel table)."""
     _check_kR(k, R)
-    t = k * R
-    vals = np.empty(max_degree + 1, dtype=complex)
-    ders = np.empty(max_degree + 1, dtype=complex)
-    for n in range(max_degree + 1):
-        h = hankel_value(n, t)
-        vals[n] = h.value
-        ders[n] = h.derivative
-    return vals, ders
+    values, derivatives = hankel_table(max_degree, k * R)
+    return values[:, 0], derivatives[:, 0]
 
 
 def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
@@ -93,6 +90,10 @@ def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
 def modal_trace(spectrum: CoefficientSpectrum, k: float, R: float) -> CoefficientSpectrum:
     """Per-(m,n) trace coefficients u_{m,n}(R) = k i a_{m,n} H_n(kR)."""
     h, _ = hankel_factors(spectrum.max_degree, k, R)
+    return _modal_trace(spectrum, k, h)
+
+
+def _modal_trace(spectrum: CoefficientSpectrum, k: float, h: np.ndarray) -> CoefficientSpectrum:
     return CoefficientSpectrum(
         spectrum.max_degree, {(n, m): 1j * k * v * h[n] for (n, m), v in spectrum.items()}
     )
@@ -162,10 +163,9 @@ def norm_identity_check(
 
     if grid is None:
         grid = SphereGrid.build(spectrum.max_degree)
-    trace_coeffs = modal_trace(spectrum, k, R)
-    samples = synthesize(trace_coeffs, grid)
+    h, _ = hankel_factors(spectrum.max_degree, k, R)
+    samples = synthesize(_modal_trace(spectrum, k, h), grid)
     lhs = R * R * float(np.real(grid.integrate(samples * np.conjugate(samples))))
     agg = aggregate(spectrum)
-    h, _ = hankel_factors(agg.max_degree, k, R)
     rhs = k * k * R * R * float(np.sum(agg.values**2 * np.abs(h) ** 2))
     return lhs, rhs

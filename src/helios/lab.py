@@ -4,13 +4,13 @@ the stability budget behave as k doubles.
 
 All randomness flows through numpy SeedSequences derived from
 (master seed, k index, replicate index), so sweep output is bit-identical
-across runs and independent of worker scheduling.
+across runs and does not depend on the order in which wavenumbers are
+processed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,15 +20,14 @@ from .field import sobolev_norm
 from .harmonics import MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate
 from .obstacle import (
     BoundaryPerturbation,
+    _apply_diagonal,
+    _hard_gain,
+    _invert,
+    _soft_gain,
     default_cutoff,
-    forward_hard,
-    forward_soft,
-    invert_hard,
-    invert_soft,
 )
 from .field import sobolev_norm_sq, split_spectrum
 from .stability import corollary_hard_terms, corollary_soft_terms
-from .util import worker_count
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,7 @@ class SweepRow:
     reconstruction_error: float
 
 
-_FORWARD = {"soft": forward_soft, "hard": forward_hard}
-_INVERT = {"soft": invert_soft, "hard": invert_hard}
+_GAIN = {"soft": _soft_gain, "hard": _hard_gain}
 
 
 def ksweep(
@@ -165,22 +163,25 @@ def ksweep(
         raise DomainError("k_list must be nonempty")
     if seeds < 1:
         raise DomainError("need at least one noise replicate")
-    if kind not in _FORWARD:
+    if kind not in _GAIN:
         raise DomainError(f"unknown obstacle kind {kind!r}")
     for k in k_list:
         if k * R < 2.0:
             raise DomainError(f"sweep requires kR >= 2, got k={k}, R={R}")
 
-    def run_k(k_index: int) -> list[SweepRow]:
+    rows = []
+    for k_index in sorted(range(len(k_list)), key=lambda i: k_list[i]):
         k = float(k_list[k_index])
-        amplitude = _FORWARD[kind](d, k, R)
+        # one diagonal gain per wavenumber serves the forward map and
+        # every replicate's inverse
+        gain = _GAIN[kind](k, R, d.spectrum.max_degree)
+        amplitude = _apply_diagonal(d.spectrum, gain)
         n_cut = default_cutoff(k, R)
-        rows = []
         for rep in range(seeds):
             child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
             noisy = perturb(amplitude, delta, child)
             split = split_spectrum(noisy, k, R)
-            recovered = _INVERT[kind](noisy, k, R, n_cut)
+            recovered = _invert(noisy, gain, n_cut)
             rec_agg = aggregate(recovered.spectrum)
             lhs = sobolev_norm_sq(rec_agg.values, 0, R)
             d_norm1 = math.sqrt(sobolev_norm_sq(rec_agg.values, 1, R))
@@ -208,12 +209,7 @@ def ksweep(
                     reconstruction_error=err,
                 )
             )
-        return rows
-
-    order = sorted(range(len(k_list)), key=lambda i: k_list[i])
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        chunks = list(pool.map(run_k, order))
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
 def ensemble_verify(

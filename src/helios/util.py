@@ -2,22 +2,20 @@
 
 from __future__ import annotations
 
-import os
+import math
+
+import numpy as np
+
+from .errors import DomainError
 
 
-def worker_count(default: int | None = None) -> int:
-    """Worker cap for grid sweeps and ensembles.
-
-    HELIOS_THREADS, when set, caps the number of parallel workers; the
-    fallback is the CPU count (or `default` if given).
-    """
-    if default is None:
-        default = os.cpu_count() or 1
-    env = os.environ.get("HELIOS_THREADS")
-    if env is None:
-        return max(1, default)
-    try:
-        cap = int(env)
-    except ValueError:
-        return max(1, default)
-    return max(1, min(default, cap)) if cap > 0 else 1
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first argument that holds a NaN or an
+    infinity; arrays must be finite throughout."""
+    for name, value in values.items():
+        if isinstance(value, float) and math.isfinite(value):
+            continue  # the common scalar case, without numpy's call overhead
+        finite = np.isfinite(value)
+        if not np.all(finite):
+            bad = np.asarray(value).flat[np.argmin(finite)]
+            raise DomainError(f"{name} must be finite, got {name}={bad}")

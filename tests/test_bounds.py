@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import relative_table_error
+from helios import bounds
 from helios.bounds import (
     check_point,
     lemma_global_bound,
@@ -15,7 +17,7 @@ from helios.bounds import (
     violations,
 )
 from helios.errors import DomainError
-from helios.specfun import hankel_paper, hankel_paper_deriv
+from helios.specfun import hankel_paper, hankel_paper_deriv, hankel_table
 
 # closed forms evaluated with mpmath at 40 digits, frozen
 LOW_BOUND_T2 = 1.0844375514192275          # sqrt(2)*e/(sqrt(pi)*2)
@@ -136,3 +138,79 @@ def test_sweep_deterministic_order():
     a = sweep(nmax=3, tmin=0.5, tmax=10.0, points=5)
     b = sweep(nmax=3, tmin=0.5, tmax=10.0, points=5)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_verdicts_match_finite_sum(seed):
+    # seeded sub-grids: every report of the one-table sweep equals the
+    # per-point check through the double-double finite sum
+    rng = np.random.default_rng(seed)
+    nmax = int(rng.integers(0, 51))
+    lo, hi = sorted(10.0 ** rng.uniform(-1.0, math.log10(200.0), size=2))
+    points = int(rng.integers(1, 7))
+    reports = sweep(nmax=nmax, tmin=float(lo), tmax=float(hi), points=points)
+    assert len(reports) == (nmax + 1) * len(bounds.KINDS) * points
+    for r in reports:
+        expected = check_point(r.kind, r.n, r.t)
+        assert (r.applicable, r.satisfied) == (expected.applicable, expected.satisfied)
+        assert r.bound == pytest.approx(expected.bound, rel=1e-14)
+        assert r.value_magnitude == pytest.approx(expected.value_magnitude, rel=1e-13)
+
+
+def test_sweep_order_is_n_kind_t():
+    reports = sweep(nmax=2, tmin=0.5, tmax=4.0, points=3)
+    keys = [(r.n, bounds.KINDS.index(r.kind), r.t) for r in reports]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys) == 3 * 4 * 3
+
+
+def test_sweep_makes_one_table_call(monkeypatch):
+    calls = []
+
+    def counted(nmax, ts):
+        calls.append(nmax)
+        return hankel_table(nmax, ts)
+
+    def forbidden(n, t):
+        raise AssertionError("sweep must not evaluate the finite sum")
+
+    monkeypatch.setattr(bounds, "hankel_table", counted)
+    monkeypatch.setattr(bounds, "hankel_value", forbidden)
+    sweep(nmax=12, tmin=0.1, tmax=200.0, points=9)
+    assert calls == [12]
+
+
+def test_acceptance_grid_margin_dwarfs_table_error():
+    # no verdict can flip between the table and the finite sum: the
+    # tightest n >= 1 envelope is looser than the table error by far
+    reports = sweep(nmax=50, tmin=0.1, tmax=200.0, points=200)
+    assert violations(reports) == []
+    margin = min(r.bound / r.value_magnitude - 1.0 for r in reports if r.applicable and r.n >= 1)
+    error = relative_table_error(50, log_grid(0.1, 200.0, 200))
+    assert margin >= 1e6 * error
+
+
+LEMMAS = (lemma_low_bound, lemma_global_bound, lemma_low_deriv_bound, lemma_global_deriv_bound)
+
+
+def test_lemmas_accept_arrays():
+    ns = np.arange(4)[:, None]
+    ts = np.array([0.5, 3.0, 40.0])
+    for fn in LEMMAS:
+        grid = np.broadcast_to(fn(ns, ts), (4, 3))
+        for n in range(4):
+            for j, t in enumerate(ts):
+                assert grid[n, j] == pytest.approx(fn(n, float(t)), rel=1e-15)
+    with pytest.raises(DomainError):
+        lemma_global_bound(ns, np.array([1.0, 0.0]))
+
+
+def test_log_grid_rejects_non_finite():
+    for tmin, tmax in ((0.1, math.inf), (math.nan, 1.0), (0.1, math.nan)):
+        with pytest.raises(DomainError):
+            log_grid(tmin, tmax, 5)
+
+
+def test_sweep_rejects_negative_nmax():
+    with pytest.raises(DomainError):
+        sweep(nmax=-1, points=5)

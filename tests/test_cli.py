@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from helios import bounds
+from helios.bounds import KINDS, EnvelopeReport
 from helios.cli import main
 from helios.io import dump_spectrum, load_spectrum
 from helios.lab import DecayProfile, make_real_perturbation
@@ -51,6 +53,85 @@ def test_bounds_check_pass(capsys):
 
 def test_bounds_check_bad_grid():
     assert main(["bounds-check", "--tmin", "0", "--points", "5"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hankel", "2", "inf"], "t must be finite"),
+    (["hankel", "2", "nan"], "t must be finite"),
+    (["hankel", "0", "1e-200"], "not representable"),
+    (["bounds-check", "--tmax", "inf"], "tmax must be finite"),
+    (["bounds-check", "--tmin", "nan", "--points", "5"], "tmin must be finite"),
+    (["bounds-check", "--nmax", "-1"], "order must be nonnegative"),
+    (["bounds-check", "--nmax", "61", "--points", "5"], "exceeds supported maximum"),
+])
+def test_non_finite_or_out_of_range_input_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+# bounds-check text, frozen from the five-scan implementation it replaced
+BOUNDS_CHECK_GRID_TEXT = (
+    "low: 29 points checked, 0 violations\n"
+    "global: 117 points checked, 0 violations\n"
+    "low_deriv: 29 points checked, 0 violations\n"
+    "global_deriv: 117 points checked, 0 violations\n"
+    "total: 292 applicable points, 0 violations\n"
+)
+
+BOUNDS_CHECK_SYNTHETIC_TEXT = """\
+low: 12 points checked, 8 violations
+global: 12 points checked, 12 violations
+low_deriv: 12 points checked, 8 violations
+global_deriv: 12 points checked, 8 violations
+total: 48 applicable points, 36 violations
+  VIOLATION global n=1 t=0.5 |H|=1.3333333333333333 bound=2.1428571428571428
+  VIOLATION low_deriv n=2 t=0.75 |H|=1.6666666666666665 bound=2.2857142857142856
+  VIOLATION low n=4 t=1.25 |H|=2.333333333333333 bound=2.5714285714285712
+  VIOLATION global_deriv n=0 t=2 |H|=3.3333333333333335 bound=3
+  VIOLATION low n=1 t=2.25 |H|=3.6666666666666665 bound=3.1428571428571428
+  VIOLATION global n=2 t=2.5 |H|=4 bound=3.2857142857142856
+  VIOLATION global_deriv n=4 t=3 |H|=4.6666666666666661 bound=3.5714285714285712
+  VIOLATION global n=6 t=3.5 |H|=5.333333333333333 bound=3.8571428571428572
+  VIOLATION low_deriv n=0 t=3.75 |H|=5.666666666666667 bound=4
+  VIOLATION low n=2 t=4.25 |H|=6.333333333333333 bound=4.2857142857142856
+  VIOLATION global n=3 t=4.5 |H|=6.666666666666667 bound=4.4285714285714288
+  VIOLATION global_deriv n=5 t=5 |H|=7.333333333333333 bound=4.7142857142857144
+  VIOLATION global n=0 t=5.5 |H|=8 bound=5
+  VIOLATION low_deriv n=1 t=5.75 |H|=8.3333333333333321 bound=5.1428571428571423
+  VIOLATION global_deriv n=2 t=6 |H|=8.6666666666666679 bound=5.2857142857142856
+  VIOLATION low_deriv n=5 t=6.75 |H|=9.6666666666666661 bound=5.7142857142857144
+  VIOLATION low n=0 t=7.25 |H|=10.333333333333334 bound=6
+  VIOLATION global n=1 t=7.5 |H|=10.666666666666666 bound=6.1428571428571432
+  VIOLATION global_deriv n=3 t=8 |H|=11.333333333333334 bound=6.4285714285714288
+  VIOLATION low n=4 t=8.25 |H|=11.666666666666666 bound=6.5714285714285712
+"""
+
+
+def test_bounds_check_text_on_fixed_grid(capsys):
+    argv = ["bounds-check", "--nmax", "12", "--tmin", "0.3", "--tmax", "50", "--points", "9"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == BOUNDS_CHECK_GRID_TEXT
+
+
+def test_bounds_check_text_with_violations(monkeypatch, capsys):
+    # 36 violations among 48 applicable reports; only the first 20 print
+    reports = [
+        EnvelopeReport(
+            kind=KINDS[i % 4],
+            n=i % 7,
+            t=0.25 * (i + 1),
+            value_magnitude=1.0 + i / 3,
+            bound=2.0 + i / 7,
+            applicable=i % 5 != 0,
+            satisfied=i % 3 == 0 and i % 4 != 1,
+        )
+        for i in range(60)
+    ]
+    monkeypatch.setattr(bounds, "sweep", lambda **kwargs: reports)
+    assert main(["bounds-check"]) == 1
+    assert capsys.readouterr().out == BOUNDS_CHECK_SYNTHETIC_TEXT
 
 
 def test_reconstruct(tmp_path, capsys):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_spectrum
+from helios import field
 from helios.errors import DomainError
 from helios.field import (
+    hankel_factors,
     low_pass,
     near_field_trace,
     norm_identity_check,
@@ -13,7 +15,7 @@ from helios.field import (
     split_spectrum,
 )
 from helios.harmonics import AggregateSpectrum, CoefficientSpectrum, aggregate
-from helios.specfun import hankel_magnitude_oracle
+from helios.specfun import hankel_magnitude_oracle, hankel_table
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -157,3 +159,30 @@ def test_low_pass_lipschitz_bound():
 def test_kr_domain_guard():
     with pytest.raises(DomainError):
         near_field_trace(agg(1.0), k=0.01, R=1.0)
+
+
+def test_kr_rejects_non_finite():
+    for k, R in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf)):
+        with pytest.raises(DomainError):
+            hankel_factors(3, k, R)
+
+
+def test_hankel_factors_is_a_table_column():
+    h, hp = hankel_factors(12, 3.0, 1.5)
+    values, derivatives = hankel_table(12, [4.5])
+    assert np.array_equal(h, values[:, 0])
+    assert np.array_equal(hp, derivatives[:, 0])
+
+
+def test_norm_identity_computes_factors_once(monkeypatch, grid20):
+    calls = []
+    real = field.hankel_factors
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(field, "hankel_factors", counted)
+    lhs, rhs = norm_identity_check(random_spectrum(6, seed=1), 5.0, 1.0, grid=grid20)
+    assert len(calls) == 1
+    assert abs(lhs - rhs) <= 1e-9 * rhs

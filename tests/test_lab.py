@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helios import obstacle
 from helios.errors import DomainError
 from helios.harmonics import aggregate
 from helios.lab import (
@@ -117,6 +118,24 @@ def test_sweep_validation():
         ksweep(d, 1.0, [1.0], 1e-3, 5)  # kR < 2
     with pytest.raises(DomainError):
         ksweep(d, 1.0, [4.0], 1e-3, 5, kind="mixed")
+
+
+def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
+    # the forward map and every replicate's inverse share one gain per k
+    calls = []
+    real = obstacle.hankel_factors
+
+    def counted(max_degree, k, R):
+        calls.append(k)
+        return real(max_degree, k, R)
+
+    monkeypatch.setattr(obstacle, "hankel_factors", counted)
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    for kind in ("soft", "hard"):
+        calls.clear()
+        rows = ksweep(d, 1.0, [8.0, 2.0, 4.0], delta=1e-3, seeds=5, kind=kind)
+        assert len(rows) == 15
+        assert calls == [2.0, 4.0, 8.0]
 
 
 def test_ensemble_small():

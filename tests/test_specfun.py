@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relative_table_error
 from helios.errors import CapacityError, DomainError
 from helios.specfun import (
     N_MAX_SUPPORTED,
     hankel_magnitude_oracle,
     hankel_paper,
     hankel_paper_deriv,
+    hankel_table,
     hankel_value,
 )
 
@@ -132,3 +134,94 @@ def test_property_cross_validation(n, t):
     b = hankel_magnitude_oracle(n, t)
     assert a > 0
     assert abs(a - b) / b <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Recurrence table against the finite-sum oracle
+
+TABLE_TOL = 1e-13
+
+
+def test_table_shape():
+    values, derivatives = hankel_table(7, [0.5, 2.0, 9.0])
+    assert values.shape == derivatives.shape == (8, 3)
+    values, _ = hankel_table(0, 3.0)
+    assert values.shape == (1, 1)
+
+
+def test_table_matches_finite_sum():
+    ts = np.logspace(np.log10(0.1), np.log10(200.0), 60)
+    assert relative_table_error(N_MAX_SUPPORTED, ts) <= TABLE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, N_MAX_SUPPORTED),
+    ts=st.lists(st.floats(0.1, 200.0), min_size=1, max_size=4),
+)
+def test_property_table_matches_finite_sum(n, ts):
+    values, derivatives = hankel_table(n, ts)
+    for j, t in enumerate(ts):
+        h = hankel_value(n, t)
+        assert abs(values[n, j] - h.value) <= TABLE_TOL * abs(h.value)
+        assert abs(derivatives[n, j] - h.derivative) <= TABLE_TOL * abs(h.derivative)
+
+
+def test_table_h0_prime_is_minus_h1():
+    values, derivatives = hankel_table(3, np.logspace(-1, 3, 50))
+    assert np.array_equal(derivatives[0], -values[1])
+
+
+def outcome(fn):
+    """The error class fn raises, or None."""
+    try:
+        fn()
+    except (DomainError, CapacityError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 30, 60, 61])
+def test_table_raises_what_hankel_value_raises(n):
+    ts = [1e-300, 1e-200, 1e-4, 1e-3, 0.1, 1.0, 200.0, 1e6]
+    ts += [0.0, -1.0, math.inf, -math.inf, math.nan]
+    for t in ts:
+        expected = outcome(lambda: hankel_value(n, t))
+        assert outcome(lambda: hankel_table(n, [t])) is expected, (n, t)
+
+
+def test_table_checks_every_argument():
+    # one bad argument among good ones fails the whole table
+    with pytest.raises(CapacityError):
+        hankel_table(60, [1.0, 1e-4])
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            hankel_table(2, [1.0, bad])
+
+
+@pytest.mark.parametrize("n", [1, 30, 60])
+def test_table_capacity_boundary_matches_finite_sum(n):
+    # bisect the argument below which hankel_value(n, .) fails, then check
+    # that the table agrees on both sides of it
+    fails, works = 1e-300, 10.0
+    for _ in range(80):
+        mid = math.sqrt(fails * works)
+        if outcome(lambda: hankel_value(n, mid)) is None:
+            works = mid
+        else:
+            fails = mid
+    assert outcome(lambda: hankel_value(n, fails)) is CapacityError
+    assert outcome(lambda: hankel_table(n, [fails])) is CapacityError
+    values, derivatives = hankel_table(n, [works])
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(derivatives))
+    h = hankel_value(n, works)
+    assert abs(values[n, 0] - h.value) <= TABLE_TOL * abs(h.value)
+
+
+def test_tiny_argument_is_a_capacity_error():
+    # t * t underflows here; the derivative is not representable
+    with pytest.raises(CapacityError):
+        hankel_value(0, 1e-200)
+    with pytest.raises(CapacityError):
+        hankel_paper_deriv(0, 1e-200)
+    assert math.isfinite(abs(hankel_paper(0, 1e-200)))
