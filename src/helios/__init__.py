@@ -59,8 +59,6 @@ from .stability import (
     rhs_T1,
     rhs_T1der,
     rhs_T2,
-    rhs_corollary_hard,
-    rhs_corollary_soft,
     verify_theorem,
 )
 

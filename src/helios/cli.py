@@ -115,9 +115,10 @@ def cmd_obstacle(args) -> int:
     else:
         invert = invert_soft if args.kind == "soft" else invert_hard
         out = invert(spectrum, k, R, args.ncut).spectrum
+    energy = out.energy()  # before writing, so an overflow leaves no file
     io_mod.dump_spectrum(args.out, k, R, out)
     print(f"{args.direction} {args.kind}: wrote {args.out} "
-          f"(max_degree={out.max_degree}, energy={io_mod.fmt(out.energy())})")
+          f"(max_degree={out.max_degree}, energy={io_mod.fmt(energy)})")
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate
+from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import hankel_table
 from .util import require_finite
 
@@ -51,14 +51,6 @@ class SpectralSplit:
     E: float  # -ln(eps2), +inf when eps2 == 0
 
 
-@dataclass(frozen=True)
-class AprioriBudget:
-    """First-order Sobolev norms of the trace and its radial derivative."""
-
-    M1: float
-    M2: float
-
-
 def _check_kR(k: float, R: float) -> None:
     require_finite(k=k, R=R)
     if not (k > 0.0 and R > 0.0):
@@ -84,18 +76,6 @@ def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
         R=R,
         values=1j * k * agg.values * h,
         radial_derivatives=1j * k * k * agg.values * hp,
-    )
-
-
-def modal_trace(spectrum: CoefficientSpectrum, k: float, R: float) -> CoefficientSpectrum:
-    """Per-(m,n) trace coefficients u_{m,n}(R) = k i a_{m,n} H_n(kR)."""
-    h, _ = hankel_factors(spectrum.max_degree, k, R)
-    return _modal_trace(spectrum, k, h)
-
-
-def _modal_trace(spectrum: CoefficientSpectrum, k: float, h: np.ndarray) -> CoefficientSpectrum:
-    return CoefficientSpectrum(
-        spectrum.max_degree, {(n, m): 1j * k * v * h[n] for (n, m), v in spectrum.items()}
     )
 
 
@@ -134,9 +114,9 @@ def low_pass(obj, N: int):
     if N < 0:
         raise DomainError("cutoff N must be nonnegative")
     if isinstance(obj, CoefficientSpectrum):
-        return CoefficientSpectrum(
-            obj.max_degree, {(n, m): v for (n, m), v in obj.items() if n <= N}
-        )
+        coefficients = obj.coefficients.copy()
+        coefficients[(N + 1) ** 2 :] = 0.0  # the slots of degrees above N
+        return CoefficientSpectrum.from_packed(coefficients)
     if isinstance(obj, AggregateSpectrum):
         values = obj.values.copy()
         values[N + 1 :] = 0.0
@@ -159,12 +139,12 @@ def norm_identity_check(
     Returns (lhs, rhs); the two agree to ~1e-9 relative for band-limited
     spectra resolved by the grid.
     """
-    from .harmonics import synthesize
-
     if grid is None:
         grid = SphereGrid.build(spectrum.max_degree)
     h, _ = hankel_factors(spectrum.max_degree, k, R)
-    samples = synthesize(_modal_trace(spectrum, k, h), grid)
+    # per-(m,n) trace coefficients u_{m,n}(R) = k i a_{m,n} H_n(kR)
+    trace = CoefficientSpectrum.from_packed(1j * k * spectrum.coefficients * h[spectrum.degrees])
+    samples = synthesize(trace, grid)
     lhs = R * R * float(np.real(grid.integrate(samples * np.conjugate(samples))))
     agg = aggregate(spectrum)
     rhs = k * k * R * R * float(np.sum(agg.values**2 * np.abs(h) ** 2))

@@ -1,24 +1,33 @@
 """Orthonormal complex spherical harmonics (Condon-Shortley phase),
 Gauss-Legendre x uniform-longitude quadrature on the unit sphere, and the
 analysis / synthesis / per-degree aggregation operations on coefficient
-spectra.
+spectra. A spectrum is one complex array: a_{m,n} sits in slot n^2 + n + m.
 
 A grid of design degree L uses L+1 Gauss-Legendre nodes in cos(theta) and
 2L+1 uniform longitudes, which integrates products Y_n^m * conj(Y_n'^m')
-exactly for n, n' <= L.
+exactly for n, n' <= L. Both transforms use Y_n^m(theta, phi) =
+Y_n^m(theta, 0) e^{i m phi}: an FFT over longitude, a sum over colatitude.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import sph_harm_y
 
-from .errors import DomainError, ResolutionError
+from .errors import CapacityError, DomainError, ResolutionError
 
 MAX_DEGREE_SUPPORTED = 60
+
+
+def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree n and order m of each slot n^2 + n + m of a packed spectrum."""
+    n = np.arange(max_degree + 1)
+    degree = np.repeat(n, 2 * n + 1)
+    return degree, np.arange(degree.size) - degree * (degree + 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -37,52 +46,69 @@ class HarmonicIndex:
 
 class CoefficientSpectrum:
     """Complex coefficients a_{m,n} of a surface expansion, indexed by
-    (degree n, order m)."""
+    (degree n, order m) and stored packed in `coefficients`; `degrees`
+    holds the degree n of each slot."""
 
     def __init__(self, max_degree: int, entries: dict[tuple[int, int], complex] | None = None):
         if max_degree < 0 or max_degree > MAX_DEGREE_SUPPORTED:
             raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
         self.max_degree = max_degree
-        self.entries: dict[tuple[int, int], complex] = {}
+        self.coefficients = np.zeros((max_degree + 1) ** 2, dtype=complex)
+        self.degrees = packed_index(max_degree)[0]
         if entries:
             for (n, m), value in entries.items():
                 self[n, m] = value
 
+    @classmethod
+    def from_packed(cls, coefficients: np.ndarray) -> "CoefficientSpectrum":
+        """Spectrum holding a packed array of length (L+1)^2 (not copied)."""
+        out = cls(math.isqrt(len(coefficients)) - 1)
+        out.coefficients = coefficients
+        return out
+
     def __getitem__(self, key: tuple[int, int]) -> complex:
-        return self.entries.get(key, 0.0 + 0.0j)
+        n, m = key
+        if n < 0 or abs(m) > n:
+            raise DomainError(f"invalid harmonic index (n={n}, m={m})")
+        if n > self.max_degree:
+            return 0.0 + 0.0j
+        return complex(self.coefficients[n * n + n + m])
 
     def __setitem__(self, key: tuple[int, int], value: complex) -> None:
         n, m = key
         if not (0 <= n <= self.max_degree and abs(m) <= n):
             raise DomainError(f"index (n={n}, m={m}) outside spectrum of degree {self.max_degree}")
-        self.entries[key] = complex(value)
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise DomainError(f"coefficient (n={n}, m={m}) must be finite, got {value}")
+        self.coefficients[n * n + n + m] = value
 
-    def items(self):
-        return self.entries.items()
+    def items(self) -> list[tuple[tuple[int, int], complex]]:
+        """((n, m), a_{m,n}) for every slot, in packed order."""
+        degree, order = packed_index(self.max_degree)
+        return list(zip(zip(degree.tolist(), order.tolist()), self.coefficients.tolist()))
 
     def energy(self) -> float:
         """Total energy sum |a_{m,n}|^2."""
-        return float(sum(abs(v) ** 2 for v in self.entries.values()))
+        with np.errstate(over="ignore"):  # reported below as a CapacityError
+            total = float(np.sum(np.abs(self.coefficients) ** 2))
+        if not math.isfinite(total):
+            raise CapacityError("spectrum energy exceeds the floating range")
+        return total
 
     def scaled(self, factor: complex) -> "CoefficientSpectrum":
-        return CoefficientSpectrum(
-            self.max_degree, {k: factor * v for k, v in self.entries.items()}
-        )
+        return CoefficientSpectrum.from_packed(factor * self.coefficients)
 
     def __add__(self, other: "CoefficientSpectrum") -> "CoefficientSpectrum":
-        out = CoefficientSpectrum(max(self.max_degree, other.max_degree))
-        for k, v in self.entries.items():
-            out[k] = v
-        for k, v in other.entries.items():
-            out[k] = out[k] + v
-        return out
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[: len(b)] += b
+        return CoefficientSpectrum.from_packed(out)
 
     def __sub__(self, other: "CoefficientSpectrum") -> "CoefficientSpectrum":
         return self + other.scaled(-1.0)
-
-    @classmethod
-    def zeros(cls, max_degree: int) -> "CoefficientSpectrum":
-        return cls(max_degree)
 
 
 @dataclass(frozen=True)
@@ -103,22 +129,24 @@ def aggregate(spectrum: CoefficientSpectrum | AggregateSpectrum) -> AggregateSpe
     """Collapse orders into per-degree magnitudes (Pythagorean sum)."""
     if isinstance(spectrum, AggregateSpectrum):
         return spectrum
-    sq = np.zeros(spectrum.max_degree + 1)
-    for (n, _m), v in spectrum.items():
-        sq[n] += abs(v) ** 2
+    with np.errstate(over="ignore"):  # reported below as a CapacityError
+        sq = np.bincount(spectrum.degrees, weights=np.abs(spectrum.coefficients) ** 2)
+    if not np.all(np.isfinite(sq)):
+        raise CapacityError("per-degree spectrum energy exceeds the floating range")
     return AggregateSpectrum(values=np.sqrt(sq))
 
 
 @dataclass
 class SphereGrid:
     """Quadrature grid on the unit sphere: Gauss-Legendre in colatitude
-    times uniform longitude. Harmonic samples are cached per (n, m)."""
+    times uniform longitude, nodes colatitude-major. `table` holds the real
+    Y_n^m(theta_j, 0), one row per packed slot (n, m)."""
 
     design_degree: int
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-    _cache: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, repr=False)
+    table: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, design_degree: int) -> "SphereGrid":
@@ -131,19 +159,19 @@ class SphereGrid:
         phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
         theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
         weights = np.broadcast_to((w * (2.0 * np.pi / n_phi))[:, None], theta.shape)
+        degree, order = packed_index(design_degree)
+        table = sph_harm_y(degree[:, None], order[:, None], theta_1d, 0.0).real
         return cls(
             design_degree=design_degree,
             theta=theta.ravel(),
             phi=phi.ravel(),
             weights=np.ascontiguousarray(weights.ravel()),
+            table=np.ascontiguousarray(table),
         )
 
     def harmonic(self, n: int, m: int) -> np.ndarray:
-        """Samples of Y_n^m on the grid nodes (cached)."""
-        key = (n, m)
-        if key not in self._cache:
-            self._cache[key] = sph_harm_y(n, m, self.theta, self.phi)
-        return self._cache[key]
+        """Samples of Y_n^m on the grid nodes, evaluated directly."""
+        return sph_harm_y(n, m, self.theta, self.phi)
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
@@ -167,27 +195,36 @@ def evaluate_harmonic(index: HarmonicIndex, direction) -> complex:
     return complex(sph_harm_y(index.degree, index.order, theta, phi))
 
 
-def synthesize(spectrum: CoefficientSpectrum, grid: SphereGrid) -> np.ndarray:
-    """Pointwise sum of a_{m,n} Y_n^m over the grid nodes."""
-    out = np.zeros(grid.theta.shape, dtype=complex)
-    for (n, m), value in spectrum.items():
-        if value != 0:
-            out += value * grid.harmonic(n, m)
-    return out
-
-
-def analyze(samples: np.ndarray, grid: SphereGrid, max_degree: int) -> CoefficientSpectrum:
-    """Coefficients a_{m,n} = <samples, Y_n^m> under grid quadrature."""
+def _orders(max_degree: int, grid: SphereGrid) -> np.ndarray:
+    """Order m of each packed slot up to max_degree, which the grid must resolve."""
     if max_degree > grid.design_degree:
         raise ResolutionError(
             f"grid design degree {grid.design_degree} < requested max degree {max_degree}"
         )
+    return packed_index(max_degree)[1]
+
+
+def synthesize(spectrum: CoefficientSpectrum, grid: SphereGrid) -> np.ndarray:
+    """Pointwise sum of a_{m,n} Y_n^m over the grid nodes."""
+    order = _orders(spectrum.max_degree, grid)
+    n_phi = 2 * grid.design_degree + 1
+    rows = spectrum.coefficients[:, None] * grid.table[: len(order)]
+    # g[m, j] = sum_n a_{m,n} Y_n^m(theta_j, 0); a negative m indexes row
+    # m + n_phi, the FFT bin of e^{i m phi}
+    g = np.zeros((n_phi, grid.design_degree + 1), dtype=complex)
+    np.add.at(g, order, rows)
+    return (n_phi * np.fft.ifft(g, axis=0)).T.ravel()
+
+
+def analyze(samples: np.ndarray, grid: SphereGrid, max_degree: int) -> CoefficientSpectrum:
+    """Coefficients a_{m,n} = <samples, Y_n^m> under grid quadrature."""
+    order = _orders(max_degree, grid)
     samples = np.asarray(samples, dtype=complex)
     if samples.shape != grid.theta.shape:
         raise DomainError("sample array does not match grid shape")
-    weighted = grid.weights * samples
-    out = CoefficientSpectrum(max_degree)
-    for n in range(max_degree + 1):
-        for m in range(-n, n + 1):
-            out[n, m] = complex(np.dot(weighted, np.conjugate(grid.harmonic(n, m))))
-    return out
+    n_phi = 2 * grid.design_degree + 1
+    weighted = (grid.weights * samples).reshape(-1, n_phi)
+    # column m mod n_phi of the FFT is sum_i w_j f(theta_j, phi_i) e^{-i m phi_i}
+    fourier = np.fft.fft(weighted, axis=1)
+    coefficients = np.einsum("kj,jk->k", grid.table[: len(order)], fourier[:, order])
+    return CoefficientSpectrum.from_packed(coefficients)

@@ -8,11 +8,14 @@ list of coefficient records {n, m, re, im}. Numbers are serialized with
 from __future__ import annotations
 
 import json
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .errors import DomainError
-from .harmonics import MAX_DEGREE_SUPPORTED, CoefficientSpectrum
-from .lab import SweepRow
+from .harmonics import CoefficientSpectrum
+from .util import require_finite
+
+if TYPE_CHECKING:
+    from .lab import SweepRow
 
 CSV_HEADER = "k,N,eps1,eps2,E,lhs,rhs_lipschitz,rhs_holder,rhs_apriori,rhs_total,reconstruction_error"
 
@@ -24,7 +27,7 @@ def fmt(x: float) -> str:
 def dump_spectrum(path: str, k: float, R: float, spectrum: CoefficientSpectrum) -> None:
     records = [
         {"n": n, "m": m, "re": float(v.real), "im": float(v.imag)}
-        for (n, m), v in sorted(spectrum.items())
+        for (n, m), v in spectrum.items()
     ]
     doc = {
         "k": float(k),
@@ -44,19 +47,17 @@ def load_spectrum(path: str) -> tuple[float, float, CoefficientSpectrum]:
     try:
         k = float(doc["k"])
         R = float(doc["R"])
-        records = doc["coefficients"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed spectrum file {path}: {exc}") from exc
-    max_degree = int(doc.get("max_degree", max((r["n"] for r in records), default=0)))
-    if max_degree > MAX_DEGREE_SUPPORTED:
-        raise DomainError(f"spectrum degree {max_degree} exceeds {MAX_DEGREE_SUPPORTED}")
-    spectrum = CoefficientSpectrum(max_degree)
-    for rec in records:
-        n, m = int(rec["n"]), int(rec["m"])
-        if not (0 <= n <= max_degree and abs(m) <= n):
-            raise DomainError(f"invalid index (n={n}, m={m}) in {path}")
-        spectrum[n, m] = complex(float(rec["re"]), float(rec["im"]))
-    return k, R, spectrum
+        entries = {
+            (int(rec["n"]), int(rec["m"])): complex(float(rec["re"]), float(rec["im"]))
+            for rec in doc["coefficients"]
+        }
+        max_degree = int(doc.get("max_degree", max((n for n, _ in entries), default=0)))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed spectrum file {path}: {exc!r}") from exc
+    require_finite(k=k, R=R)
+    # the constructor rejects a degree above MAX_DEGREE_SUPPORTED, an index
+    # outside the spectrum and a non-finite coefficient
+    return k, R, CoefficientSpectrum(max_degree, entries)
 
 
 def write_sweep_csv(fh: TextIO, rows: list[SweepRow]) -> None:

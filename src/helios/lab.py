@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .field import sobolev_norm
 from .harmonics import MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate
 from .obstacle import (
@@ -28,6 +28,7 @@ from .obstacle import (
 )
 from .field import sobolev_norm_sq, split_spectrum
 from .stability import corollary_hard_terms, corollary_soft_terms
+from .util import require_finite
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class DecayProfile:
 def _validate_profile(profile: DecayProfile) -> None:
     if profile.max_degree < 0 or profile.max_degree > MAX_DEGREE_SUPPORTED:
         raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
+    require_finite(rate=profile.rate, amplitude=profile.amplitude)
     if profile.rate <= 0:
         raise DomainError("decay rate must be positive")
 
@@ -71,9 +73,7 @@ def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
         norm = float(np.linalg.norm(raw))
         if target[n] == 0.0 or norm == 0.0:
             continue
-        scaled = raw * (target[n] / norm)
-        for j, m in enumerate(range(-n, n + 1)):
-            out[n, m] = complex(scaled[j])
+        out.coefficients[n * n : (n + 1) ** 2] = raw * (target[n] / norm)
     return out
 
 
@@ -87,23 +87,25 @@ def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
     for n in range(profile.max_degree + 1):
         if target[n] == 0.0:
             continue
-        half = {0: complex(rng.standard_normal())}
-        for m in range(1, n + 1):
-            half[m] = complex(rng.standard_normal(), rng.standard_normal())
-        norm_sq = abs(half[0]) ** 2 + 2.0 * sum(abs(half[m]) ** 2 for m in range(1, n + 1))
+        # draws in the order d_{n,0}, then re and im of d_{n,m} for m = 1..n
+        draws = rng.standard_normal(2 * n + 1)
+        half = draws[1::2] + 1j * draws[2::2]
+        norm_sq = draws[0] ** 2 + 2.0 * float(np.sum(np.abs(half) ** 2))
         if norm_sq == 0.0:
             continue
         scale = target[n] / math.sqrt(norm_sq)
-        out[n, 0] = half[0] * scale
-        for m in range(1, n + 1):
-            out[n, m] = half[m] * scale
-            out[n, -m] = (-1) ** m * (half[m] * scale).conjugate()
+        center = n * n + n  # slot of d_{n,0}; d_{n,m} and d_{n,-m} sit m slots either side
+        out.coefficients[center] = draws[0] * scale
+        out.coefficients[center + 1 : center + n + 1] = half * scale
+        m = np.arange(n, 0, -1)
+        out.coefficients[n * n : center] = (-1.0) ** m * np.conjugate(out.coefficients[center + m])
     return BoundaryPerturbation(out)
 
 
 def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpectrum:
     """Add random noise across all indices up to max_degree, rescaled so
     the added coefficient energy is exactly delta^2."""
+    require_finite(delta=delta)
     if delta < 0:
         raise DomainError("noise level delta must be nonnegative")
     if delta == 0.0:
@@ -114,8 +116,7 @@ def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpe
     for n in range(spectrum.max_degree + 1):
         raw = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
         total += float(np.sum(np.abs(raw) ** 2))
-        for j, m in enumerate(range(-n, n + 1)):
-            noise[n, m] = complex(raw[j])
+        noise.coefficients[n * n : (n + 1) ** 2] = raw
     scale = delta / math.sqrt(total)
     return spectrum + noise.scaled(scale)
 
@@ -193,6 +194,8 @@ def ksweep(
                 terms = corollary_hard_terms(split.eps1, split.eps2, split.E, k, R, d_norm1)
             diff = aggregate(recovered.spectrum - d.spectrum)
             err = sobolev_norm(diff.values, 0, R)
+            if not all(map(math.isfinite, (split.eps1, split.eps2, lhs, terms.total, err))):
+                raise CapacityError(f"sweep row at k={k} exceeds the floating range")
             rows.append(
                 SweepRow(
                     k=k,
@@ -230,6 +233,7 @@ def ensemble_verify(
     if size < 1:
         raise DomainError("ensemble size must be at least 1")
     lo, hi = kr_range
+    require_finite(kr_lo=lo, kr_hi=hi)
     if lo < 2.0 or hi < lo:
         raise DomainError(f"kR range must satisfy 2 <= lo <= hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .field import hankel_factors
-from .harmonics import CoefficientSpectrum, SphereGrid, synthesize
+from .field import _check_kR, hankel_factors
+from .harmonics import CoefficientSpectrum, SphereGrid, packed_index, synthesize
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,11 @@ class BoundaryPerturbation:
     spectrum: CoefficientSpectrum
 
     def conjugate_symmetry_residual(self) -> float:
-        """Max |d_{n,-m} - (-1)^m conj(d_{n,m})| over the stored entries."""
-        worst = 0.0
-        for (n, m), v in self.spectrum.items():
-            mirror = self.spectrum[n, -m]
-            worst = max(worst, abs(mirror - (-1) ** m * v.conjugate()))
-        return worst
+        """Max |d_{n,-m} - (-1)^m conj(d_{n,m})| over all indices."""
+        d = self.spectrum.coefficients
+        degree, order = packed_index(self.spectrum.max_degree)
+        mirror = d[degree * (degree + 1) - order]
+        return float(np.max(np.abs(mirror - (-1.0) ** order * np.conjugate(d))))
 
     def imaginary_residual(self, grid: SphereGrid | None = None) -> float:
         """Relative imaginary residue of the synthesized perturbation."""
@@ -79,6 +78,7 @@ def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
 
 def default_cutoff(k: float, R: float) -> int:
     """The stability split cutoff floor(sqrt(kR))."""
+    _check_kR(k, R)
     return math.floor(math.sqrt(k * R))
 
 
@@ -98,9 +98,7 @@ def _hard_gain(k: float, R: float, max_degree: int) -> np.ndarray:
 
 
 def _apply_diagonal(spectrum: CoefficientSpectrum, gain: np.ndarray) -> CoefficientSpectrum:
-    return CoefficientSpectrum(
-        spectrum.max_degree, {(n, m): gain[n] * v for (n, m), v in spectrum.items()}
-    )
+    return CoefficientSpectrum.from_packed(gain[spectrum.degrees] * spectrum.coefficients)
 
 
 def forward_soft(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpectrum:
@@ -116,10 +114,10 @@ def forward_hard(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpec
 def _invert(
     amplitude: CoefficientSpectrum, gain: np.ndarray, n_cut: int
 ) -> BoundaryPerturbation:
-    entries = {
-        (n, m): v / gain[n] for (n, m), v in amplitude.items() if n <= n_cut
-    }
-    return BoundaryPerturbation(CoefficientSpectrum(amplitude.max_degree, entries))
+    kept = amplitude.degrees <= n_cut
+    d = np.zeros_like(amplitude.coefficients)
+    d[kept] = amplitude.coefficients[kept] / gain[amplitude.degrees[kept]]
+    return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
 
 
 def invert_soft(

@@ -171,19 +171,6 @@ def corollary_soft_terms(
     )
 
 
-def rhs_corollary_soft(
-    eps1: float,
-    eps2: float,
-    E: float,
-    k: float,
-    R: float,
-    d_norm1: float,
-    variant: str = "T1",
-) -> float:
-    """Bound on the squared surface norm of a soft-obstacle perturbation."""
-    return corollary_soft_terms(eps1, eps2, E, k, R, d_norm1, variant).total
-
-
 def corollary_hard_terms(
     eps1: float, eps2: float, E: float, k: float, R: float, d_norm1: float
 ) -> RhsTerms:
@@ -199,10 +186,3 @@ def corollary_hard_terms(
         holder=pref * math.exp(2.0 / R) * eps2,
         apriori=_apriori(R * R * d_norm1 * d_norm1, denom, E),
     )
-
-
-def rhs_corollary_hard(
-    eps1: float, eps2: float, E: float, k: float, R: float, d_norm1: float
-) -> float:
-    """Bound on the squared surface norm of a hard-obstacle perturbation."""
-    return corollary_hard_terms(eps1, eps2, E, k, R, d_norm1).total

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -210,3 +211,108 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def write_json(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv_tail, text, message", [
+    # an infinite radius reaches neither the stability cutoff nor the gains
+    (["obstacle", "invert", "{}", "--kind", "soft", "--out", "{out}"],
+     '{"k": 4, "R": Infinity, "coefficients": [{"n": 0, "m": 0, "re": 1.0, "im": 0.0}]}',
+     "R must be finite"),
+    (["obstacle", "invert", "{}", "--kind", "hard", "--out", "{out}"],
+     '{"k": NaN, "R": 1, "coefficients": []}', "k must be finite"),
+    (["reconstruct", "{}"],
+     '{"k": 4, "R": 1, "coefficients": [{"n": 1, "m": 0, "re": NaN, "im": 0.0}]}',
+     "must be finite"),
+    (["obstacle", "forward", "{}", "--kind", "soft", "--out", "{out}"],
+     '{"k": 4, "R": 1, "coefficients": [{"n": 1, "m": 1, "re": 0.5, "im": -Infinity}]}',
+     "must be finite"),
+    (["reconstruct", "{}"],
+     '{"k": 4, "R": 1, "coefficients": [[0, 0, 1.0, 0.0]]}', "malformed spectrum file"),
+    (["reconstruct", "{}"],
+     '{"k": 4, "R": 1, "coefficients": [{"n": 0, "m": 0, "re": "x", "im": 0.0}]}',
+     "malformed spectrum file"),
+    (["reconstruct", "{}"], '[4, 1]', "malformed spectrum file"),
+])
+def test_bad_spectrum_file_exits_2(argv_tail, text, message, tmp_path, capsys):
+    path = write_json(tmp_path / "spec.json", text)
+    argv = [a.format(path, out=tmp_path / "out.json") for a in argv_tail]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+@pytest.mark.parametrize("missing", ["n", "m", "re", "im"])
+def test_spectrum_record_missing_field_exits_2(missing, tmp_path, capsys):
+    record = {"n": 1, "m": -1, "re": 0.5, "im": 0.25}
+    del record[missing]
+    doc = {"k": 4.0, "R": 1.0, "coefficients": [record]}
+    path = write_json(tmp_path / "spec.json", json.dumps(doc))
+    assert main(["obstacle", "invert", path, "--kind", "soft",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "malformed spectrum file" in err and repr(missing) in err
+
+
+def test_stability_verify_infinite_range_exits_2(capsys):
+    assert main(["stability-verify", "--ensemble-size", "3", "--kR-range", "2", "inf"]) == 2
+    assert "kr_hi must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"delta": 1e300},
+    # every coefficient is finite, but the hard-kind Lipschitz term overflows
+    {"delta": 1e154, "k_list": [700.0], "seeds": 1, "kind": "hard"},
+])
+def test_sweep_beyond_floating_range_exits_2(overrides, tmp_path, capsys):
+    path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, **overrides}))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "exceeds the floating range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_sweep_non_finite_noise_exits_2(delta, tmp_path, capsys):
+    path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, "delta": delta}))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "delta must be finite" in capsys.readouterr().err
+
+
+# The canonical sweep (the README config). Its bytes change only with a
+# change that says why in CHANGES.md; the digests depend on numpy's
+# floating-point kernels, so a new numpy build may move them too.
+CANONICAL_SWEEP = {
+    "R": 1.0,
+    "delta": 1e-3,
+    "k_list": [2, 4, 8, 16, 32, 64],
+    "seeds": 20,
+    "seed": 0,
+    "kind": "soft",
+    "profile": {"kind": "exponential", "rate": 1.0, "max_degree": 10, "seed": 7},
+}
+CANONICAL_SWEEP_SHA256 = {
+    "soft": "7114f69549abb3d137b24179e5795a6ff38b2a73387d6303f6ec5e34eaa8da84",
+    "hard": "7f858faa893e85764b69c853484f9d935ffbc57e2384276fdd2410dd426c2546",
+}
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+def test_canonical_sweep_digest(kind, tmp_path):
+    path = write_json(tmp_path / "cfg.json", json.dumps({**CANONICAL_SWEEP, "kind": kind}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CANONICAL_SWEEP_SHA256[kind]
+
+
+def test_obstacle_energy_overflow_exits_2_without_output(tmp_path, capsys):
+    # each coefficient is finite, their energy is not
+    path = write_json(tmp_path / "d.json",
+                      '{"k": 4, "R": 1, "coefficients": [{"n": 2, "m": 0, "re": 1e200, "im": 0}]}')
+    out = tmp_path / "a.json"
+    assert main(["obstacle", "forward", path, "--kind", "soft", "--out", str(out)]) == 2
+    assert "exceeds the floating range" in capsys.readouterr().err
+    assert not out.exists()

@@ -126,3 +126,141 @@ def test_aggregate_phase_invariance(phase):
 def test_aggregate_of_aggregate_is_identity():
     agg = AggregateSpectrum(values=np.array([1.0, 2.0]))
     assert aggregate(agg) is agg
+
+
+# --- packed spectrum and separable transform -------------------------------
+
+
+def seeded_entries(max_degree: int, seed: int) -> dict[tuple[int, int], complex]:
+    rng = np.random.default_rng(seed)
+    return {
+        (n, m): complex(rng.standard_normal(), rng.standard_normal())
+        for n in range(max_degree + 1)
+        for m in range(-n, n + 1)
+    }
+
+
+def direct_sum(spectrum, grid):
+    """Reference synthesis: sum of a_{m,n} Y_n^m over the nonzero entries,
+    each harmonic evaluated at the nodes by scipy."""
+    out = np.zeros(grid.theta.shape, dtype=complex)
+    for (n, m), value in spectrum.items():
+        if value != 0:
+            out += value * grid.harmonic(n, m)
+    return out
+
+
+@pytest.mark.parametrize("degree", [5, 20])
+def test_synthesize_matches_direct_sum(degree):
+    grid = SphereGrid.build(degree)
+    spec = random_spectrum(degree, seed=degree)
+    reference = direct_sum(spec, grid)
+    gap = np.max(np.abs(synthesize(spec, grid) - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_synthesize_matches_direct_sum_degree_40():
+    # every degree, with orders -n, 0, n and one random order: a full
+    # degree-40 direct sum costs seconds of scipy calls
+    grid = SphereGrid.build(40)
+    rng = np.random.default_rng(40)
+    spec = CoefficientSpectrum(40)
+    for n in range(41):
+        for m in {-n, 0, n, int(rng.integers(-n, n + 1))}:
+            spec[n, m] = complex(rng.standard_normal(), rng.standard_normal())
+    reference = direct_sum(spec, grid)
+    gap = np.max(np.abs(synthesize(spec, grid) - reference))
+    assert gap <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_synthesize_below_grid_degree(grid20):
+    # a spectrum of lower degree uses a prefix of the grid's table
+    spec = random_spectrum(7, seed=3)
+    reference = direct_sum(spec, grid20)
+    assert np.max(np.abs(synthesize(spec, grid20) - reference)) <= 1e-12 * np.max(
+        np.abs(reference)
+    )
+
+
+def test_round_trip_degree_60():
+    grid = SphereGrid.build(60)
+    spec = random_spectrum(60, seed=60)
+    rec = analyze(synthesize(spec, grid), grid, 60)
+    assert np.max(np.abs(rec.coefficients - spec.coefficients)) <= 1e-10
+
+
+def test_synthesize_rejects_spectrum_above_grid_degree():
+    grid = SphereGrid.build(4)
+    with pytest.raises(ResolutionError):
+        synthesize(random_spectrum(5, seed=0), grid)
+
+
+def test_build_fills_table_with_one_scipy_call(monkeypatch):
+    import helios.harmonics as harmonics
+
+    calls = []
+    real = harmonics.sph_harm_y
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harmonics, "sph_harm_y", counted)
+    grid = SphereGrid.build(12)
+    assert len(calls) == 1
+    assert grid.table.shape == (13 * 13, 13) and grid.table.dtype == np.float64
+    spec = random_spectrum(12, seed=5)
+    analyze(synthesize(spec, grid), grid, 12)
+    assert len(calls) == 1
+
+
+def test_packed_layout():
+    spec = CoefficientSpectrum(3, seeded_entries(3, seed=1))
+    keys = [key for key, _ in spec.items()]
+    assert keys == [(n, m) for n in range(4) for m in range(-n, n + 1)]
+    for (n, m), value in spec.items():
+        assert spec.coefficients[n * n + n + m] == value == spec[n, m]
+        assert spec.degrees[n * n + n + m] == n
+
+
+def test_index_rules():
+    spec = CoefficientSpectrum(2, {(1, -1): 2.0})
+    assert spec[5, 3] == 0.0  # a valid index above max_degree reads as zero
+    with pytest.raises(DomainError):
+        spec[1, 2]
+    with pytest.raises(DomainError):
+        spec[3, 0] = 1.0
+    with pytest.raises(DomainError):
+        spec[1, 0] = complex(math.nan, 0.0)
+
+
+@pytest.mark.parametrize("degrees", [(3, 3), (2, 7), (7, 2), (0, 5)])
+def test_arithmetic_matches_per_index_reference(degrees):
+    la, lb = degrees
+    ea, eb = seeded_entries(la, seed=la + 10), seeded_entries(lb, seed=lb + 20)
+    a, b = CoefficientSpectrum(la, ea), CoefficientSpectrum(lb, eb)
+    top = max(la, lb)
+    keys = [(n, m) for n in range(top + 1) for m in range(-n, n + 1)]
+    total, diff, scaled = a + b, a - b, a.scaled(0.5 - 2.0j)
+    assert total.max_degree == diff.max_degree == top
+    for key in keys:
+        assert total[key] == ea.get(key, 0.0) + eb.get(key, 0.0)
+        assert diff[key] == ea.get(key, 0.0) - eb.get(key, 0.0)
+    for key, value in ea.items():
+        assert scaled[key] == (0.5 - 2.0j) * value
+    assert a.energy() == pytest.approx(sum(abs(v) ** 2 for v in ea.values()), rel=1e-13)
+    sq = np.zeros(la + 1)
+    for (n, _m), value in ea.items():
+        sq[n] += abs(value) ** 2
+    assert np.allclose(aggregate(a).values, np.sqrt(sq), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("cut", [0, 2, 5, 9])
+def test_low_pass_matches_per_index_reference(cut):
+    from helios.field import low_pass
+
+    entries = seeded_entries(6, seed=cut)
+    kept = low_pass(CoefficientSpectrum(6, entries), cut)
+    assert kept.max_degree == 6
+    for (n, m), value in entries.items():
+        assert kept[n, m] == (value if n <= cut else 0.0)

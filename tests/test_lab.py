@@ -149,3 +149,25 @@ def test_ensemble_validation():
         ensemble_verify(0, seed=0, which="T1")
     with pytest.raises(DomainError):
         ensemble_verify(5, seed=0, which="T1", kr_range=(1.0, 10.0))
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_perturb_rejects_non_finite_delta(delta):
+    with pytest.raises(DomainError):
+        perturb(make_spectrum(CANONICAL_PROFILE), delta, seed=0)
+
+
+def test_ensemble_rejects_non_finite_range():
+    with pytest.raises(DomainError):
+        ensemble_verify(3, seed=0, which="T1", kr_range=(2.0, math.inf))
+    with pytest.raises(DomainError):
+        ensemble_verify(3, seed=0, which="T1", kr_range=(math.nan, 10.0))
+
+
+@pytest.mark.parametrize("rate, amplitude", [(math.nan, 1.0), (1.0, math.inf)])
+def test_profile_rejects_non_finite(rate, amplitude):
+    profile = DecayProfile("exponential", rate, 3, seed=0, amplitude=amplitude)
+    with pytest.raises(DomainError):
+        make_spectrum(profile)
+    with pytest.raises(DomainError):
+        make_real_perturbation(profile)

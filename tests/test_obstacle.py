@@ -113,3 +113,20 @@ def test_inversion_gain_monopole_value():
     gain = inversion_gain_soft(4.0, 1.0, 0)
     # k * |H_0(k)| = k * sqrt(2/pi)/k = sqrt(2/pi)
     assert gain[0] == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("k, R", [(4.0, math.inf), (math.nan, 1.0), (4.0, 0.0)])
+def test_cutoff_and_inverse_reject_bad_kR(k, R):
+    amplitude = forward_soft(unit_monopole(2), 4.0, 1.0)
+    with pytest.raises(DomainError):
+        default_cutoff(k, R)
+    for invert in (invert_soft, invert_hard):
+        with pytest.raises(DomainError):
+            invert(amplitude, k, R)
+
+
+def test_conjugate_symmetry_residual_sees_a_broken_mirror():
+    d = make_real_perturbation(DecayProfile("exponential", 0.7, 4, seed=2))
+    broken = BoundaryPerturbation(d.spectrum.scaled(1.0))
+    broken.spectrum[3, -2] = broken.spectrum[3, -2] + 1e-3
+    assert broken.conjugate_symmetry_residual() == pytest.approx(1e-3, rel=1e-9)

@@ -11,8 +11,6 @@ from helios.stability import (
     rhs_T1,
     rhs_T1der,
     rhs_T2,
-    rhs_corollary_hard,
-    rhs_corollary_soft,
     verify_theorem,
 )
 
@@ -109,23 +107,21 @@ def test_verify_unknown_estimate():
 
 
 def test_corollary_soft_worked_values():
-    assert rhs_corollary_soft(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0, variant="T1") == pytest.approx(
-        COR_SOFT_T1, rel=1e-12
-    )
-    assert rhs_corollary_soft(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0, variant="T2") == pytest.approx(
-        COR_SOFT_T2, rel=1e-12
-    )
+    terms_t1 = corollary_soft_terms(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0, variant="T1")
+    assert terms_t1.total == pytest.approx(COR_SOFT_T1, rel=1e-12)
+    terms_t2 = corollary_soft_terms(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0, variant="T2")
+    assert terms_t2.total == pytest.approx(COR_SOFT_T2, rel=1e-12)
 
 
 def test_corollary_hard_worked_value():
-    assert rhs_corollary_hard(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0) == pytest.approx(
+    assert corollary_hard_terms(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0).total == pytest.approx(
         COR_HARD, rel=1e-12
     )
 
 
 def test_corollary_zero_noise():
-    assert rhs_corollary_soft(0.0, 0.0, math.inf, 4.0, 1.0, 1.0) == 0.0
-    assert rhs_corollary_hard(0.0, 0.0, math.inf, 4.0, 1.0, 1.0) == 0.0
+    assert corollary_soft_terms(0.0, 0.0, math.inf, 4.0, 1.0, 1.0).total == 0.0
+    assert corollary_hard_terms(0.0, 0.0, math.inf, 4.0, 1.0, 1.0).total == 0.0
 
 
 def test_corollary_soft_unknown_variant():
