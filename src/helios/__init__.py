@@ -9,6 +9,7 @@ the inverse obstacle problem linearized about a sphere.
 
 from .bounds import (
     EnvelopeReport,
+    EnvelopeTable,
     lemma_global_bound,
     lemma_global_deriv_bound,
     lemma_low_bound,

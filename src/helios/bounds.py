@@ -19,7 +19,8 @@ agreement within a few ulps rather than strict dominance.
 The envelope functions and the verdict rule accept scalars or broadcast
 arrays, so `check_point` (one point, magnitude from the double-double
 finite sum) and `sweep` (a whole grid, magnitudes from one
-`hankel_table` call) share a single definition of each formula.
+`hankel_table` call, verdicts as the columns of one `EnvelopeTable`)
+share a single definition of each formula.
 """
 
 from __future__ import annotations
@@ -132,35 +133,71 @@ def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
     return np.logspace(math.log10(tmin), math.log10(tmax), points)
 
 
+@dataclass(frozen=True, eq=False)
+class EnvelopeTable:
+    """Verdicts of a sweep as parallel 1-D arrays, one entry per row:
+    `kind` indexes `KINDS`, the other fields are those of `EnvelopeReport`.
+    Iterating yields the rows as `EnvelopeReport` objects."""
+
+    kind: np.ndarray
+    n: np.ndarray
+    t: np.ndarray
+    value_magnitude: np.ndarray
+    bound: np.ndarray
+    applicable: np.ndarray
+    satisfied: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __iter__(self):
+        return iter(self.reports())
+
+    @property
+    def violating(self) -> np.ndarray:
+        """Mask of the rows whose envelope is applicable yet not satisfied."""
+        return self.applicable & ~self.satisfied
+
+    def reports(self, rows=slice(None)) -> list[EnvelopeReport]:
+        """The given rows (an index array or a slice, all by default) as
+        `EnvelopeReport` objects, in that order."""
+        columns = (self.kind, self.n, self.t, self.value_magnitude, self.bound,
+                   self.applicable, self.satisfied)
+        return [EnvelopeReport(KINDS[k], *rest)
+                for k, *rest in zip(*(c[rows].tolist() for c in columns))]
+
+
 def sweep(
     nmax: int = 50,
     tmin: float = 0.1,
     tmax: float = 200.0,
     points: int = 200,
     kinds: tuple[str, ...] = KINDS,
-) -> list[EnvelopeReport]:
+) -> EnvelopeTable:
     """Check the requested envelopes on an (n, t) log grid.
 
-    One `hankel_table` call gives every magnitude; rows come back in
+    One `hankel_table` call gives every magnitude; rows come in
     (n, kind, t) order.
     """
     ts = log_grid(tmin, tmax, points)
     values, derivatives = hankel_table(nmax, ts)
     orders = np.arange(nmax + 1)[:, None]
-    columns = []
+    columns = []  # per kind: magnitude, bound, applicable, satisfied, each (nmax + 1, points)
     for kind in kinds:
         magnitude = np.abs(derivatives if kind.endswith("deriv") else values)
         judged = _judge(kind, orders, ts, magnitude)
-        columns.append((kind, magnitude, *np.broadcast_arrays(*judged)))
-    t_list = ts.tolist()
-    reports = []
-    for n in range(nmax + 1):
-        for kind, *grids in columns:
-            rows = [grid[n].tolist() for grid in grids]
-            reports.extend(EnvelopeReport(kind, n, *point) for point in zip(t_list, *rows))
-    return reports
+        columns.append(np.broadcast_arrays(magnitude, *judged))
+    # stacked on axes (n, kind, t) and flattened in that order
+    grids = [np.stack(grid, axis=1).ravel() for grid in zip(*columns)]
+    kind_index = np.array([KINDS.index(kind) for kind in kinds])
+    return EnvelopeTable(
+        np.tile(np.repeat(kind_index, len(ts)), nmax + 1),
+        np.repeat(np.arange(nmax + 1), len(kinds) * len(ts)),
+        np.tile(ts, (nmax + 1) * len(kinds)),
+        *grids,
+    )
 
 
-def violations(reports: list[EnvelopeReport]) -> list[EnvelopeReport]:
-    """Reports whose envelope is applicable yet not satisfied."""
-    return [r for r in reports if r.applicable and not r.satisfied]
+def violations(table: EnvelopeTable) -> list[EnvelopeReport]:
+    """Reports of the rows whose envelope is applicable yet not satisfied."""
+    return table.reports(np.flatnonzero(table.violating))

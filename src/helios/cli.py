@@ -8,8 +8,11 @@ domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import io as io_mod
@@ -34,25 +37,19 @@ def cmd_hankel(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
-    reports = bounds_mod.sweep(
+    table = bounds_mod.sweep(
         nmax=args.nmax, tmin=args.tmin, tmax=args.tmax, points=args.points
     )
-    checked = dict.fromkeys(bounds_mod.KINDS, 0)
-    failed = dict.fromkeys(bounds_mod.KINDS, 0)
-    bad = []
-    for r in reports:
-        if r.applicable:
-            checked[r.kind] += 1
-            if not r.satisfied:
-                failed[r.kind] += 1
-                bad.append(r)
-    for kind in bounds_mod.KINDS:
-        print(f"{kind}: {checked[kind]} points checked, {failed[kind]} violations")
-    print(f"total: {sum(checked.values())} applicable points, {len(bad)} violations")
-    for r in bad[:20]:
+    bad = np.flatnonzero(table.violating)
+    checked = np.bincount(table.kind[table.applicable], minlength=len(bounds_mod.KINDS)).tolist()
+    failed = np.bincount(table.kind[bad], minlength=len(bounds_mod.KINDS)).tolist()
+    for kind, c, f in zip(bounds_mod.KINDS, checked, failed):
+        print(f"{kind}: {c} points checked, {f} violations")
+    print(f"total: {sum(checked)} applicable points, {len(bad)} violations")
+    for r in table.reports(bad[:20]):
         print(f"  VIOLATION {r.kind} n={r.n} t={io_mod.fmt(r.t)} "
               f"|H|={io_mod.fmt(r.value_magnitude)} bound={io_mod.fmt(r.bound)}")
-    return EXIT_OK if not bad else EXIT_CHECK_FAILED
+    return EXIT_OK if len(bad) == 0 else EXIT_CHECK_FAILED
 
 
 def cmd_reconstruct(args) -> int:
@@ -139,7 +136,7 @@ def cmd_sweep(args) -> int:
         seeds = int(cfg.get("seeds", 1))
         master_seed = int(cfg.get("seed", 0))
         kind = cfg.get("kind", "soft")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed sweep config: {exc}") from exc
     d = make_real_perturbation(profile)
     rows = ksweep(d, R, k_list, delta, seeds, master_seed=master_seed, kind=kind)
@@ -161,27 +158,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("t", type=float)
     p.add_argument("--deriv", action="store_true", help="argument derivative instead of value")
-    p.set_defaults(func=cmd_hankel)
 
     p = sub.add_parser("bounds-check", help="certify the Hankel envelopes on a grid")
     p.add_argument("--nmax", type=int, default=50)
     p.add_argument("--tmin", type=float, default=0.1)
     p.add_argument("--tmax", type=float, default=200.0)
     p.add_argument("--points", type=int, default=200)
-    p.set_defaults(func=cmd_bounds_check)
 
     p = sub.add_parser("reconstruct", help="near-field trace from a spectrum file")
     p.add_argument("input")
     p.add_argument("--ncut", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("stability-verify", help="check a stability estimate on a random ensemble")
     p.add_argument("--ensemble-size", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kR-range", dest="kR_range", type=float, nargs=2, default=[2.0, 100.0])
     p.add_argument("--which", choices=["T1", "T2", "T1der"], default="T1")
-    p.set_defaults(func=cmd_stability_verify)
 
     p = sub.add_parser("obstacle", help="linearized obstacle forward/inverse maps")
     p.add_argument("direction", choices=["forward", "invert"])
@@ -189,21 +182,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["soft", "hard"], required=True)
     p.add_argument("--ncut", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_obstacle)
 
     p = sub.add_parser("sweep", help="wavenumber sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+# Looked up at call time, so a wrapper set on a value here takes effect
+# even for the parser already built.
+COMMANDS = {
+    "hankel": cmd_hankel,
+    "bounds-check": cmd_bounds_check,
+    "reconstruct": cmd_reconstruct,
+    "stability-verify": cmd_stability_verify,
+    "obstacle": cmd_obstacle,
+    "sweep": cmd_sweep,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later `main` call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (DomainError, CapacityError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

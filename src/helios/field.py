@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import hankel_table
 from .util import require_finite
@@ -84,12 +84,16 @@ def sobolev_norm_sq(values, l: int, R: float) -> float:
     per-degree trace values."""
     if l < 0:
         raise DomainError("Sobolev order l must be nonnegative")
-    v = np.abs(np.asarray(values)) ** 2
-    n_over_R = np.arange(len(v)) / R
-    total = 0.0
-    for m in range(l + 1):
-        total += float(np.sum(n_over_R ** (2 * m) * v))
-    return R * R * total
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
+        v = np.abs(np.asarray(values)) ** 2
+        n_over_R = np.arange(len(v)) / R
+        total = 0.0
+        for m in range(l + 1):
+            total += float(np.sum(n_over_R ** (2 * m) * v))
+        total = R * R * total
+    if not math.isfinite(total):
+        raise CapacityError("Sobolev norm exceeds the floating range")
+    return total
 
 
 def sobolev_norm(values, l: int, R: float) -> float:

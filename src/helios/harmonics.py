@@ -16,11 +16,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from .errors import CapacityError, DomainError, ResolutionError
 
 MAX_DEGREE_SUPPORTED = 60
+
+
+def sph_harm_y(n, m, theta, phi):
+    """scipy.special.sph_harm_y, imported on the first call: importing
+    scipy.special takes longer than importing the rest of helios, and only
+    a grid build or a direct evaluation of a harmonic needs it."""
+    from scipy.special import sph_harm_y as scipy_sph_harm_y
+
+    return scipy_sph_harm_y(n, m, theta, phi)
 
 
 def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -58,6 +58,8 @@ def _validate_profile(profile: DecayProfile) -> None:
     require_finite(rate=profile.rate, amplitude=profile.amplitude)
     if profile.rate <= 0:
         raise DomainError("decay rate must be positive")
+    if profile.seed < 0:
+        raise DomainError(f"profile seed must be nonnegative, got {profile.seed}")
 
 
 def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
@@ -164,8 +166,10 @@ def ksweep(
         raise DomainError("k_list must be nonempty")
     if seeds < 1:
         raise DomainError("need at least one noise replicate")
-    if kind not in _GAIN:
+    if not isinstance(kind, str) or kind not in _GAIN:
         raise DomainError(f"unknown obstacle kind {kind!r}")
+    if master_seed < 0:
+        raise DomainError(f"master seed must be nonnegative, got {master_seed}")
     for k in k_list:
         if k * R < 2.0:
             raise DomainError(f"sweep requires kR >= 2, got k={k}, R={R}")

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .field import _check_kR, hankel_factors
 from .harmonics import CoefficientSpectrum, SphereGrid, packed_index, synthesize
+from .util import require_finite
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,7 @@ class BoundaryPerturbation:
 
 def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     """Closed-form boundary data of the incident spherical wave."""
+    require_finite(k=k, R=R)
     if not (k > 0 and R > 0):
         raise DomainError("k and R must be positive")
     if kind == "soft":

@@ -6,6 +6,8 @@ import pytest
 from conftest import relative_table_error
 from helios import bounds
 from helios.bounds import (
+    EnvelopeReport,
+    EnvelopeTable,
     check_point,
     lemma_global_bound,
     lemma_global_deriv_bound,
@@ -137,7 +139,7 @@ def test_sweep_no_violations_small():
 def test_sweep_deterministic_order():
     a = sweep(nmax=3, tmin=0.5, tmax=10.0, points=5)
     b = sweep(nmax=3, tmin=0.5, tmax=10.0, points=5)
-    assert a == b
+    assert list(a) == list(b)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -155,6 +157,58 @@ def test_sweep_verdicts_match_finite_sum(seed):
         assert (r.applicable, r.satisfied) == (expected.applicable, expected.satisfied)
         assert r.bound == pytest.approx(expected.bound, rel=1e-14)
         assert r.value_magnitude == pytest.approx(expected.value_magnitude, rel=1e-13)
+
+
+def per_report_sweep(nmax, tmin, tmax, points):
+    """Reference: the sweep as one EnvelopeReport per (n, kind, t), built
+    row by row from the same table and envelope arrays."""
+    ts = log_grid(tmin, tmax, points)
+    values, derivatives = hankel_table(nmax, ts)
+    orders = np.arange(nmax + 1)[:, None]
+    columns = []
+    for kind in bounds.KINDS:
+        magnitude = np.abs(derivatives if kind.endswith("deriv") else values)
+        judged = bounds._judge(kind, orders, ts, magnitude)
+        columns.append((kind, magnitude, *np.broadcast_arrays(*judged)))
+    reports = []
+    for n in range(nmax + 1):
+        for kind, *grids in columns:
+            for j, t in enumerate(ts.tolist()):
+                magnitude, bound, applicable, satisfied = (grid[n, j] for grid in grids)
+                reports.append(EnvelopeReport(kind, n, t, float(magnitude), float(bound),
+                                              bool(applicable), bool(satisfied)))
+    return reports
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_table_rows_match_per_report_reference(seed):
+    rng = np.random.default_rng(100 + seed)
+    nmax = int(rng.integers(0, 51))
+    lo, hi = sorted(10.0 ** rng.uniform(-1.0, math.log10(200.0), size=2))
+    points = int(rng.integers(1, 12))
+    table = sweep(nmax=nmax, tmin=float(lo), tmax=float(hi), points=points)
+    reference = per_report_sweep(nmax, float(lo), float(hi), points)
+    assert isinstance(table, EnvelopeTable)
+    assert len(table) == len(reference)
+    assert list(table) == reference
+
+
+def test_violations_builds_the_violating_rows_in_order():
+    i = np.arange(12)
+    table = EnvelopeTable(
+        kind=i % 4,
+        n=i // 4,
+        t=0.5 * (i + 1),
+        value_magnitude=1.0 + i,
+        bound=np.full(12, 6.0),
+        applicable=i != 7,
+        satisfied=i < 5,
+    )
+    found = violations(table)
+    assert [r.n for r in found] == [1, 1, 2, 2, 2, 2]
+    assert [r.kind for r in found] == ["global", "low_deriv", "low", "global", "low_deriv",
+                                       "global_deriv"]
+    assert found == [r for r in table if r.applicable and not r.satisfied]
 
 
 def test_sweep_order_is_n_kind_t():

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from helios import bounds
-from helios.bounds import KINDS, EnvelopeReport
+from helios import bounds, cli
+from helios.bounds import EnvelopeTable
 from helios.cli import main
 from helios.io import dump_spectrum, load_spectrum
 from helios.lab import DecayProfile, make_real_perturbation
@@ -118,19 +119,17 @@ def test_bounds_check_text_on_fixed_grid(capsys):
 
 def test_bounds_check_text_with_violations(monkeypatch, capsys):
     # 36 violations among 48 applicable reports; only the first 20 print
-    reports = [
-        EnvelopeReport(
-            kind=KINDS[i % 4],
-            n=i % 7,
-            t=0.25 * (i + 1),
-            value_magnitude=1.0 + i / 3,
-            bound=2.0 + i / 7,
-            applicable=i % 5 != 0,
-            satisfied=i % 3 == 0 and i % 4 != 1,
-        )
-        for i in range(60)
-    ]
-    monkeypatch.setattr(bounds, "sweep", lambda **kwargs: reports)
+    i = np.arange(60)
+    table = EnvelopeTable(
+        kind=i % 4,
+        n=i % 7,
+        t=0.25 * (i + 1),
+        value_magnitude=1.0 + i / 3,
+        bound=2.0 + i / 7,
+        applicable=i % 5 != 0,
+        satisfied=(i % 3 == 0) & (i % 4 != 1),
+    )
+    monkeypatch.setattr(bounds, "sweep", lambda **kwargs: table)
     assert main(["bounds-check"]) == 1
     assert capsys.readouterr().out == BOUNDS_CHECK_SYNTHETIC_TEXT
 
@@ -282,6 +281,19 @@ def test_sweep_non_finite_noise_exits_2(delta, tmp_path, capsys):
     assert "delta must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"profile": {**SWEEP_CONFIG["profile"], "seed": ""}}, "malformed sweep config"),
+    ({"seeds": math.nan}, "malformed sweep config"),
+    ({"kind": {}}, "unknown obstacle kind"),
+    ({"profile": {**SWEEP_CONFIG["profile"], "seed": -1}}, "seed must be nonnegative"),
+    ({"seed": -1}, "seed must be nonnegative"),
+])
+def test_sweep_bad_config_value_exits_2(overrides, message, tmp_path, capsys):
+    path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, **overrides}))
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 # The canonical sweep (the README config). Its bytes change only with a
 # change that says why in CHANGES.md; the digests depend on numpy's
 # floating-point kernels, so a new numpy build may move them too.
@@ -316,3 +328,52 @@ def test_obstacle_energy_overflow_exits_2_without_output(tmp_path, capsys):
     assert main(["obstacle", "forward", path, "--kind", "soft", "--out", str(out)]) == 2
     assert "exceeds the floating range" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_reconstruct_norm_overflow_exits_2(tmp_path, capsys):
+    # the coefficient and its energy are finite, the squared trace is not
+    path = write_json(tmp_path / "d.json",
+                      '{"k": 4, "R": 1, "coefficients": [{"n": 0, "m": 0, "re": 1e154, "im": 0}]}')
+    assert main(["reconstruct", path]) == 2
+    captured = capsys.readouterr()
+    assert "inf" not in captured.out
+    assert "exceeds the floating range" in captured.err
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert main(["hankel", "1", "2.0"]) == 0
+        assert main(["bounds-check", "--nmax", "3", "--points", "4"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_dispatch_reads_the_command_table_at_call_time(monkeypatch, capsys):
+    main(["hankel", "1", "2.0"])  # the parser exists before the table changes
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "hankel", lambda args: seen.append(args.n) or 0)
+    assert main(["hankel", "3", "2.0"]) == 0
+    assert seen == [3]
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    # a first call, on a fresh parser, without --ncut (the default cutoff
+    # is 2 here); then with --ncut 5; then without again: the third writes
+    # the bytes of the first
+    spec_path = tmp_path / "d.json"
+    write_spectrum_file(spec_path, max_degree=6)
+    amplitude = tmp_path / "a.json"
+    assert main(["obstacle", "forward", str(spec_path), "--kind", "soft",
+                 "--out", str(amplitude)]) == 0
+    outs = [tmp_path / f"r{i}.json" for i in range(3)]
+    cli._parser.cache_clear()
+    for out, ncut in zip(outs, ([], ["--ncut", "5"], [])):
+        assert main(["obstacle", "invert", str(amplitude), "--kind", "soft", *ncut,
+                     "--out", str(out)]) == 0
+    first, cut, again = (out.read_bytes() for out in outs)
+    assert again == first != cut

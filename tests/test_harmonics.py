@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import sph_harm_y
 
+import helios
 from conftest import random_spectrum
 from helios.errors import DomainError, ResolutionError
 from helios.harmonics import (
@@ -15,6 +21,7 @@ from helios.harmonics import (
     aggregate,
     analyze,
     evaluate_harmonic,
+    packed_index,
     synthesize,
 )
 
@@ -53,13 +60,12 @@ def test_self_inner_product(grid20):
 
 
 def test_orthonormality_matrix(grid20):
-    idx = [(n, m) for n in range(11) for m in range(-n, n + 1)]
-    for i, (n, m) in enumerate(idx):
-        yi = grid20.harmonic(n, m)
-        for n2, m2 in idx[i:]:
-            inner = grid20.integrate(yi * np.conjugate(grid20.harmonic(n2, m2)))
-            expected = 1.0 if (n, m) == (n2, m2) else 0.0
-            assert abs(inner - expected) <= 1e-10
+    # every harmonic up to degree 10, evaluated by scipy at every node in
+    # one broadcast call; the Gram matrix under the grid quadrature
+    degree, order = packed_index(10)
+    y = sph_harm_y(degree[:, None], order[:, None], grid20.theta, grid20.phi)
+    gram = (y * grid20.weights) @ np.conjugate(y).T
+    assert np.max(np.abs(gram - np.eye(len(degree)))) <= 1e-10
 
 
 def test_analyze_constant(grid20):
@@ -264,3 +270,21 @@ def test_low_pass_matches_per_index_reference(cut):
     assert kept.max_degree == 6
     for (n, m), value in entries.items():
         assert kept[n, m] == (value if n <= cut else 0.0)
+
+
+def test_scipy_special_loads_with_the_first_grid():
+    # importing helios and its CLI leaves scipy.special unloaded; the first
+    # grid build loads it
+    code = (
+        "import sys\n"
+        "import helios, helios.cli\n"
+        "print('scipy.special' in sys.modules)\n"
+        "helios.SphereGrid.build(5)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    src = str(Path(helios.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.split() == ["False", "True"]

@@ -45,6 +45,17 @@ def test_incident_rejects():
         incident_trace("soft", -1.0, 1.0)
 
 
+@pytest.mark.parametrize("kind, k, R", [
+    ("hard", math.inf, 1.0),  # the trace value would be nan+nanj
+    ("soft", 1.0, math.inf),  # the derivative would be NaN
+    ("soft", math.nan, 1.0),
+    ("hard", 1.0, math.nan),
+])
+def test_incident_rejects_non_finite_kR(kind, k, R):
+    with pytest.raises(DomainError, match="must be finite"):
+        incident_trace(kind, k, R)
+
+
 def test_default_cutoff():
     assert default_cutoff(4.0, 1.0) == 2
     assert default_cutoff(50.0, 1.0) == 7
