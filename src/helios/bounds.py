@@ -16,6 +16,11 @@ violations, with one exception: at n = 0 the two global envelopes
 coincide identically with the function they bound, so there the check is
 agreement within a few ulps rather than strict dominance.
 
+`check_point` and `sweep` certify t <= T_MAX_CERTIFIED and raise
+DomainError above it: at n = 1 an envelope exceeds |H_n(t)| by a relative
+margin of about 1/t (1e-11 at t = 1e11, n <= 60), and far beyond that the
+margin rounds to a tie, which would read as a violation.
+
 The envelope functions and the verdict rule accept scalars or broadcast
 arrays, so `check_point` (one point, magnitude from the double-double
 finite sum) and `sweep` (a whole grid, magnitudes from one
@@ -38,6 +43,8 @@ _SQRT2_OVER_SQRTPI = math.sqrt(2.0 / math.pi)
 
 KINDS = ("low", "global", "low_deriv", "global_deriv")
 
+T_MAX_CERTIFIED = 1e11
+
 
 @dataclass(frozen=True)
 class EnvelopeReport:
@@ -53,6 +60,11 @@ class EnvelopeReport:
 def _check_t(t) -> None:
     if not np.all(np.greater(t, 0.0)):
         raise DomainError(f"argument must be positive, got t={t}")
+
+
+def _check_certified(t: float) -> None:
+    if not t <= T_MAX_CERTIFIED:
+        raise DomainError(f"envelope checks are certified for t <= {T_MAX_CERTIFIED:g}, got t={t}")
 
 
 def low_frequency_applicable(n, t):
@@ -74,7 +86,7 @@ def lemma_global_bound(n, t):
 def lemma_low_deriv_bound(n, t):
     """Low-frequency envelope for |H_n'(t)| (applicable when n^2 < t)."""
     _check_t(t)
-    return _SQRT2_OVER_SQRTPI * math.e * (np.hypot(t, 1.0) + 1.0) / (t * t)
+    return _SQRT2_OVER_SQRTPI * math.e * (np.hypot(t, 1.0) + 1.0) / t / t
 
 
 def lemma_global_deriv_bound(n, t):
@@ -108,6 +120,7 @@ def _judge(kind: str, n, t, magnitude):
 
 def check_point(kind: str, n: int, t: float) -> EnvelopeReport:
     """Evaluate one envelope against the finite-sum Hankel magnitude."""
+    _check_certified(t)
     h = hankel_value(n, t)
     magnitude = abs(h.derivative) if kind.endswith("deriv") else abs(h.value)
     bound, applicable, satisfied = _judge(kind, n, t, magnitude)
@@ -180,6 +193,7 @@ def sweep(
     (n, kind, t) order.
     """
     ts = log_grid(tmin, tmax, points)
+    _check_certified(tmax)
     values, derivatives = hankel_table(nmax, ts)
     orders = np.arange(nmax + 1)[:, None]
     columns = []  # per kind: magnitude, bound, applicable, satisfied, each (nmax + 1, points)

@@ -59,6 +59,12 @@ def _check_kR(k: float, R: float) -> None:
         raise DomainError(f"kR = {k * R} below supported minimum {KR_MIN}")
 
 
+def default_cutoff(k: float, R: float) -> int:
+    """The stability split cutoff N = floor(sqrt(kR))."""
+    _check_kR(k, R)
+    return math.floor(math.sqrt(k * R))
+
+
 def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
     the Hankel table)."""
@@ -103,9 +109,8 @@ def sobolev_norm(values, l: int, R: float) -> float:
 
 def split_spectrum(spectrum, k: float, R: float) -> SpectralSplit:
     """Energy split at N = floor(sqrt(kR)) and E = -ln(eps2)."""
-    _check_kR(k, R)
+    N = default_cutoff(k, R)
     agg = aggregate(spectrum)
-    N = math.floor(math.sqrt(k * R))
     sq = agg.values**2
     eps1 = math.sqrt(float(np.sum(sq[: N + 1])))
     eps2 = math.sqrt(float(np.sum(sq[N + 1 :])))

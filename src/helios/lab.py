@@ -16,18 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .field import sobolev_norm
+from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from .harmonics import MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate
-from .obstacle import (
-    BoundaryPerturbation,
-    _apply_diagonal,
-    _hard_gain,
-    _invert,
-    _soft_gain,
-    default_cutoff,
-)
-from .field import sobolev_norm_sq, split_spectrum
-from .stability import corollary_hard_terms, corollary_soft_terms
+from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_inverse
+from .stability import corollary_hard_terms, corollary_soft_terms, verify_theorem
 from .util import require_finite
 
 
@@ -141,9 +133,6 @@ class SweepRow:
     reconstruction_error: float
 
 
-_GAIN = {"soft": _soft_gain, "hard": _hard_gain}
-
-
 def ksweep(
     d: BoundaryPerturbation,
     R: float,
@@ -166,8 +155,6 @@ def ksweep(
         raise DomainError("k_list must be nonempty")
     if seeds < 1:
         raise DomainError("need at least one noise replicate")
-    if not isinstance(kind, str) or kind not in _GAIN:
-        raise DomainError(f"unknown obstacle kind {kind!r}")
     if master_seed < 0:
         raise DomainError(f"master seed must be nonnegative, got {master_seed}")
     for k in k_list:
@@ -179,14 +166,14 @@ def ksweep(
         k = float(k_list[k_index])
         # one diagonal gain per wavenumber serves the forward map and
         # every replicate's inverse
-        gain = _GAIN[kind](k, R, d.spectrum.max_degree)
-        amplitude = _apply_diagonal(d.spectrum, gain)
+        factors = gain(kind, k, R, d.spectrum.max_degree)
+        amplitude = apply_gain(d.spectrum, factors)
         n_cut = default_cutoff(k, R)
         for rep in range(seeds):
             child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
             noisy = perturb(amplitude, delta, child)
             split = split_spectrum(noisy, k, R)
-            recovered = _invert(noisy, gain, n_cut)
+            recovered = truncated_inverse(noisy, factors, n_cut)
             rec_agg = aggregate(recovered.spectrum)
             lhs = sobolev_norm_sq(rec_agg.values, 0, R)
             d_norm1 = math.sqrt(sobolev_norm_sq(rec_agg.values, 1, R))
@@ -219,21 +206,15 @@ def ksweep(
     return rows
 
 
-def ensemble_verify(
-    size: int,
-    seed: int,
-    which: str,
-    kr_range: tuple[float, float] = (2.0, 100.0),
-    R: float = 1.0,
-) -> tuple[int, float]:
-    """Check one stability estimate on `size` seeded random decaying
-    spectra with kR drawn from kr_range; returns (failures, min_slack).
+def random_ensemble(
+    size: int, seed: int, kr_range: tuple[float, float] = (2.0, 100.0)
+) -> list[tuple[CoefficientSpectrum, float]]:
+    """`size` seeded random decaying spectra, each paired with a wavenumber
+    k drawn from kr_range (R = 1).
 
     Spectra are rescaled to total coefficient energy below one: the
     estimates live in the small-data regime eps2 < 1 (so E > 0), and the
     derivative estimate in particular needs E + k > 1."""
-    from .stability import verify_theorem
-
     if size < 1:
         raise DomainError("ensemble size must be at least 1")
     lo, hi = kr_range
@@ -241,21 +222,33 @@ def ensemble_verify(
     if lo < 2.0 or hi < lo:
         raise DomainError(f"kR range must satisfy 2 <= lo <= hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
-    failures = 0
-    min_slack = math.inf
+    out = []
     for _ in range(size):
         profile = DecayProfile(
             kind=str(rng.choice(["exponential", "algebraic"])),
             rate=float(rng.uniform(0.3, 1.5)),
             max_degree=int(rng.integers(1, 31)),
             seed=int(rng.integers(0, 2**63)),
-            amplitude=float(rng.uniform(0.1, 10.0)),
         )
-        k = float(rng.uniform(lo, hi)) / R
+        k = float(rng.uniform(lo, hi))
         spectrum = make_spectrum(profile)
         target = float(rng.uniform(0.05, 0.95))
-        spectrum = spectrum.scaled(target / math.sqrt(spectrum.energy()))
-        report = verify_theorem(spectrum, k, R, which)
+        out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
+    return out
+
+
+def ensemble_verify(
+    size: int,
+    seed: int,
+    which: str,
+    kr_range: tuple[float, float] = (2.0, 100.0),
+) -> tuple[int, float]:
+    """Check one stability estimate on `random_ensemble(size, seed,
+    kr_range)`; returns (failures, min_slack)."""
+    failures = 0
+    min_slack = math.inf
+    for spectrum, k in random_ensemble(size, seed, kr_range):
+        report = verify_theorem(spectrum, k, 1.0, which)
         min_slack = min(min_slack, report.rhs_total - report.lhs)
         if not report.satisfied:
             failures += 1

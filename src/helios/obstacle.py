@@ -15,13 +15,12 @@ k^2 i H_n'(kR) (hard); neither factor has positive real zeros.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .field import _check_kR, hankel_factors
+from .field import default_cutoff, hankel_factors
 from .harmonics import CoefficientSpectrum, SphereGrid, packed_index, synthesize
 from .util import require_finite
 
@@ -78,48 +77,41 @@ def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     return IncidentWave(kind=kind, k=k, R=R, trace_value=value, trace_radial_derivative=derivative)
 
 
-def default_cutoff(k: float, R: float) -> int:
-    """The stability split cutoff floor(sqrt(kR))."""
-    _check_kR(k, R)
-    return math.floor(math.sqrt(k * R))
-
-
-def _soft_gain(k: float, R: float, max_degree: int) -> np.ndarray:
-    """Per-degree factor mapping d_{m,n} to the soft far-field a_{m,n}."""
-    h, _ = hankel_factors(max_degree, k, R)
-    return -((1j * k * R - 1.0) / R) / (1j * k * h)
-
-
-def _hard_gain(k: float, R: float, max_degree: int) -> np.ndarray:
-    """Per-degree factor mapping d_{m,n} to the hard far-field a_{m,n}."""
-    _, hp = hankel_factors(max_degree, k, R)
+def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
+    """Per-degree factor mapping d_{m,n} to the far-field a_{m,n} of the
+    soft or hard obstacle."""
+    wave = incident_trace(kind, k, R)
+    h, hp = hankel_factors(max_degree, k, R)
+    if kind == "soft":
+        return -wave.trace_radial_derivative / (1j * k * h)
     if np.any(np.abs(hp) == 0.0):
         raise CapacityError("computed |H_n'(kR)| underflowed to zero")
-    u1 = incident_trace("hard", k, R).trace_value
-    return u1 / (1j * hp)
+    return wave.trace_value / (1j * hp)
 
 
-def _apply_diagonal(spectrum: CoefficientSpectrum, gain: np.ndarray) -> CoefficientSpectrum:
-    return CoefficientSpectrum.from_packed(gain[spectrum.degrees] * spectrum.coefficients)
+def apply_gain(spectrum: CoefficientSpectrum, factors: np.ndarray) -> CoefficientSpectrum:
+    """The diagonal forward map: each coefficient times its degree's gain."""
+    return CoefficientSpectrum.from_packed(factors[spectrum.degrees] * spectrum.coefficients)
+
+
+def truncated_inverse(
+    amplitude: CoefficientSpectrum, factors: np.ndarray, n_cut: int
+) -> BoundaryPerturbation:
+    """Divide the degrees n <= n_cut by their gain and drop the rest."""
+    kept = amplitude.degrees <= n_cut
+    d = np.zeros_like(amplitude.coefficients)
+    d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
+    return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
 
 
 def forward_soft(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpectrum:
     """Far-field spectrum of the linearized soft-obstacle scattered field."""
-    return _apply_diagonal(d.spectrum, _soft_gain(k, R, d.spectrum.max_degree))
+    return apply_gain(d.spectrum, gain("soft", k, R, d.spectrum.max_degree))
 
 
 def forward_hard(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpectrum:
     """Far-field spectrum of the linearized hard-obstacle scattered field."""
-    return _apply_diagonal(d.spectrum, _hard_gain(k, R, d.spectrum.max_degree))
-
-
-def _invert(
-    amplitude: CoefficientSpectrum, gain: np.ndarray, n_cut: int
-) -> BoundaryPerturbation:
-    kept = amplitude.degrees <= n_cut
-    d = np.zeros_like(amplitude.coefficients)
-    d[kept] = amplitude.coefficients[kept] / gain[amplitude.degrees[kept]]
-    return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
+    return apply_gain(d.spectrum, gain("hard", k, R, d.spectrum.max_degree))
 
 
 def invert_soft(
@@ -129,7 +121,7 @@ def invert_soft(
     at n_cut (default floor(sqrt(kR)))."""
     if n_cut is None:
         n_cut = default_cutoff(k, R)
-    return _invert(amplitude, _soft_gain(k, R, amplitude.max_degree), n_cut)
+    return truncated_inverse(amplitude, gain("soft", k, R, amplitude.max_degree), n_cut)
 
 
 def invert_hard(
@@ -139,7 +131,7 @@ def invert_hard(
     at n_cut (default floor(sqrt(kR)))."""
     if n_cut is None:
         n_cut = default_cutoff(k, R)
-    return _invert(amplitude, _hard_gain(k, R, amplitude.max_degree), n_cut)
+    return truncated_inverse(amplitude, gain("hard", k, R, amplitude.max_degree), n_cut)
 
 
 def inversion_gain_soft(k: float, R: float, max_degree: int) -> np.ndarray:

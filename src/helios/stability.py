@@ -22,8 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .field import near_field_trace, sobolev_norm_sq, split_spectrum
+from .util import require_finite
 
 
 class RhsTerms(NamedTuple):
@@ -46,19 +47,23 @@ class RhsTerms(NamedTuple):
 class StabilityReport:
     lhs: float
     rhs_terms: RhsTerms
-    rhs_total: float
     satisfied: bool
     inputs: dict
 
+    @property
+    def rhs_total(self) -> float:
+        return self.rhs_terms.total
 
-def _check_common(eps1: float, eps2: float, E: float, k: float, R: float) -> None:
+
+def _check_common(eps1: float, eps2: float, E: float, k: float, R: float, M: float) -> None:
+    require_finite(eps1=eps1, eps2=eps2, k=k, R=R, M=M)
     if eps1 < 0 or eps2 < 0:
         raise DomainError("eps1 and eps2 must be nonnegative")
     if not (k > 0 and R > 0):
         raise DomainError("k and R must be positive")
     if k * R < 2.0:
         raise DomainError(f"estimates require kR >= 2, got kR = {k * R}")
-    if not E + k > 0:
+    if not E + k > 0:  # also rejects a NaN E; E = +inf is the eps2 = 0 limit
         raise DomainError("need E + k > 0")
 
 
@@ -66,35 +71,45 @@ def _apriori(M_sq_scaled: float, denom: float, E: float) -> float:
     return 0.0 if math.isinf(E) else M_sq_scaled / denom
 
 
-def rhs_T1(eps1: float, eps2: float, E: float, k: float, R: float, M1: float) -> RhsTerms:
-    """Right-hand side of the first trace estimate."""
-    _check_common(eps1, eps2, E, k, R)
+def _exp(x: float) -> float:
+    """e^x; an overflow (x above about 709.8) raises CapacityError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise CapacityError(f"e^{x:g} exceeds the floating range") from None
+
+
+def _trace_terms(eps1: float, E: float, k: float, R: float, M1: float, holder: float) -> RhsTerms:
+    """The Lipschitz and a-priori terms that both trace estimates share."""
     return RhsTerms(
         lipschitz=2.0 * math.e**2 / math.pi * eps1**2,
-        holder=2.0 / math.pi * math.exp(2.0 / R) * eps2,
+        holder=holder,
         apriori=_apriori(R * R * M1 * M1, E + k, E),
     )
+
+
+def rhs_T1(eps1: float, eps2: float, E: float, k: float, R: float, M1: float) -> RhsTerms:
+    """Right-hand side of the first trace estimate."""
+    _check_common(eps1, eps2, E, k, R, M1)
+    return _trace_terms(eps1, E, k, R, M1, 2.0 / math.pi * _exp(2.0 / R) * eps2)
 
 
 def rhs_T2(eps1: float, eps2: float, E: float, k: float, R: float, M1: float) -> RhsTerms:
     """Right-hand side of the second trace estimate (Hoelder in sqrt(eps2))."""
-    _check_common(eps1, eps2, E, k, R)
-    return RhsTerms(
-        lipschitz=2.0 * math.e**2 / math.pi * eps1**2,
-        holder=math.sqrt(2.0 * R / (math.pi * k)) * math.exp(1.0 / R) * M1 * math.sqrt(eps2),
-        apriori=_apriori(R * R * M1 * M1, E + k, E),
-    )
+    _check_common(eps1, eps2, E, k, R, M1)
+    holder = math.sqrt(2.0 * R / (math.pi * k)) * _exp(1.0 / R) * M1 * math.sqrt(eps2)
+    return _trace_terms(eps1, E, k, R, M1, holder)
 
 
 def rhs_T1der(eps1: float, eps2: float, E: float, k: float, R: float, M2: float) -> RhsTerms:
     """Right-hand side of the radial-derivative estimate."""
-    _check_common(eps1, eps2, E, k, R)
+    _check_common(eps1, eps2, E, k, R, M2)
     if not math.isinf(E) and not E + k > 1.0:
         raise DomainError("derivative estimate needs E + k > 1")
     denom = E + k - 2.0 * math.sqrt(E + k) + 1.0
     return RhsTerms(
         lipschitz=math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * k * k * eps1**2,
-        holder=k * k * math.exp(2.0 / R) * eps2,
+        holder=k * k * _exp(2.0 / R) * eps2,
         apriori=_apriori(R * R * M2 * M2, denom, E),
     )
 
@@ -119,7 +134,6 @@ def verify_theorem(spectrum, k: float, R: float, which: str) -> StabilityReport:
     return StabilityReport(
         lhs=lhs,
         rhs_terms=terms,
-        rhs_total=terms.total,
         satisfied=lhs <= terms.total,
         inputs={
             "k": k,
@@ -143,46 +157,24 @@ def corollary_soft_terms(
     d_norm1: float,
     variant: str = "T1",
 ) -> RhsTerms:
-    """Term breakdown of the soft-obstacle perturbation bound.
-
-    The T2 variant is the direct substitution of
-    M1 = sqrt(k^2 R^2 + 1)/R * d_norm1 into the second trace estimate.
-    """
-    _check_common(eps1, eps2, E, k, R)
-    kr2p1 = k * k * R * R + 1.0
-    pref = R * R / kr2p1
-    if variant == "T1":
-        holder = 2.0 / math.pi * math.exp(2.0 / R) * eps2
-    elif variant == "T2":
-        holder = (
-            math.sqrt(2.0 * R / (math.pi * k))
-            * math.exp(1.0 / R)
-            * math.sqrt(kr2p1)
-            / R
-            * d_norm1
-            * math.sqrt(eps2)
-        )
-    else:
+    """Term breakdown of the soft-obstacle perturbation bound: the trace
+    estimate `variant` (T1 or T2) at M1 = sqrt(k^2 R^2 + 1)/R * d_norm1,
+    scaled by R^2/(k^2 R^2 + 1)."""
+    if variant not in ("T1", "T2"):
         raise DomainError(f"unknown variant {variant!r} (expected T1 or T2)")
-    return RhsTerms(
-        lipschitz=pref * 2.0 * math.e**2 / math.pi * eps1**2,
-        holder=pref * holder,
-        apriori=_apriori(R * R * d_norm1 * d_norm1, E + k, E),
-    )
+    kr2p1 = k * k * R * R + 1.0
+    # the estimate itself rejects R <= 0, so only the division waits for it
+    M1 = math.sqrt(kr2p1) / R * d_norm1 if R > 0 else d_norm1
+    terms = _RHS[variant](eps1, eps2, E, k, R, M1)
+    return RhsTerms(*(R * R / kr2p1 * term for term in terms))
 
 
 def corollary_hard_terms(
     eps1: float, eps2: float, E: float, k: float, R: float, d_norm1: float
 ) -> RhsTerms:
-    """Term breakdown of the hard-obstacle perturbation bound."""
-    _check_common(eps1, eps2, E, k, R)
-    if not math.isinf(E) and not E + k > 1.0:
-        raise DomainError("hard-obstacle bound needs E + k > 1")
-    kr2 = k * k * R * R
-    pref = (kr2 + 1.0) / kr2
-    denom = E + k - 2.0 * math.sqrt(E + k) + 1.0
-    return RhsTerms(
-        lipschitz=pref * math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * eps1**2,
-        holder=pref * math.exp(2.0 / R) * eps2,
-        apriori=_apriori(R * R * d_norm1 * d_norm1, denom, E),
-    )
+    """Term breakdown of the hard-obstacle perturbation bound: the
+    radial-derivative estimate at M2 = k^2 R d_norm1 / sqrt(k^2 R^2 + 1),
+    scaled by (k^2 R^2 + 1)/(k^4 R^2)."""
+    kr2p1 = k * k * R * R + 1.0
+    terms = rhs_T1der(eps1, eps2, E, k, R, k * k * R * d_norm1 / math.sqrt(kr2p1))
+    return RhsTerms(*(kr2p1 / (k * k * R * R) / (k * k) * term for term in terms))

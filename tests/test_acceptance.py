@@ -26,8 +26,8 @@ from helios.lab import (
     DecayProfile,
     ksweep,
     make_real_perturbation,
-    make_spectrum,
     mean_errors_by_k,
+    random_ensemble,
 )
 from helios.obstacle import forward_hard, forward_soft, invert_hard, invert_soft
 from helios.specfun import hankel_magnitude_oracle, hankel_paper
@@ -38,26 +38,6 @@ T_GRID = np.logspace(np.log10(0.5), np.log10(200.0), 200)
 
 def report(number: int, name: str, passed: bool) -> None:
     print(f"criterion {number} ({name}): {'PASS' if passed else 'FAIL'}", flush=True)
-
-
-def random_ensemble(size: int, seed: int):
-    """Seeded random decaying spectra with kR drawn from [2, 100],
-    rescaled to sub-unit coefficient energy (the small-data regime
-    eps2 < 1, E > 0 that the estimates assume)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(size):
-        profile = DecayProfile(
-            kind=str(rng.choice(["exponential", "algebraic"])),
-            rate=float(rng.uniform(0.3, 1.5)),
-            max_degree=int(rng.integers(1, 31)),
-            seed=int(rng.integers(0, 2**63)),
-        )
-        k = float(rng.uniform(2.0, 100.0))
-        spectrum = make_spectrum(profile)
-        target = float(rng.uniform(0.05, 0.95))
-        out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
-    return out
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import pytest
 from conftest import relative_table_error
 from helios import bounds
 from helios.bounds import (
+    T_MAX_CERTIFIED,
     EnvelopeReport,
     EnvelopeTable,
     check_point,
@@ -268,3 +269,23 @@ def test_log_grid_rejects_non_finite():
 def test_sweep_rejects_negative_nmax():
     with pytest.raises(DomainError):
         sweep(nmax=-1, points=5)
+
+
+def test_lemmas_finite_far_beyond_the_certified_range():
+    for fn in LEMMAS:
+        bound = fn(3, 1e200)
+        assert math.isfinite(bound) and bound > 0.0
+
+
+def test_sweep_certified_up_to_the_ceiling():
+    table = sweep(nmax=60, tmin=1e10, tmax=T_MAX_CERTIFIED)
+    assert violations(table) == []
+
+
+def test_checks_above_the_ceiling_raise():
+    above = math.nextafter(T_MAX_CERTIFIED, math.inf)
+    with pytest.raises(DomainError, match="certified"):
+        sweep(nmax=3, tmin=1e10, tmax=above, points=5)
+    with pytest.raises(DomainError, match="certified"):
+        check_point("global", 1, above)
+    assert check_point("global", 1, T_MAX_CERTIFIED).satisfied

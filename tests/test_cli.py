@@ -65,6 +65,7 @@ def test_bounds_check_bad_grid():
     (["bounds-check", "--tmin", "nan", "--points", "5"], "tmin must be finite"),
     (["bounds-check", "--nmax", "-1"], "order must be nonnegative"),
     (["bounds-check", "--nmax", "61", "--points", "5"], "exceeds supported maximum"),
+    (["bounds-check", "--tmin", "1e15", "--tmax", "1e16", "--nmax", "3"], "certified for t <= 1e+11"),
 ])
 def test_non_finite_or_out_of_range_input_exits_2(argv, message, capsys):
     assert main(argv) == 2
@@ -267,6 +268,8 @@ def test_stability_verify_infinite_range_exits_2(capsys):
     {"delta": 1e300},
     # every coefficient is finite, but the hard-kind Lipschitz term overflows
     {"delta": 1e154, "k_list": [700.0], "seeds": 1, "kind": "hard"},
+    # e^(2/R) in the Hoelder terms overflows for R below about 0.003
+    {"R": 0.002, "k_list": [2000.0], "seeds": 1, "kind": "hard"},
 ])
 def test_sweep_beyond_floating_range_exits_2(overrides, tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, **overrides}))
@@ -307,8 +310,8 @@ CANONICAL_SWEEP = {
     "profile": {"kind": "exponential", "rate": 1.0, "max_degree": 10, "seed": 7},
 }
 CANONICAL_SWEEP_SHA256 = {
-    "soft": "7114f69549abb3d137b24179e5795a6ff38b2a73387d6303f6ec5e34eaa8da84",
-    "hard": "7f858faa893e85764b69c853484f9d935ffbc57e2384276fdd2410dd426c2546",
+    "soft": "cdc55ec0c3df64bbe32d5c8b434f576633f6ac5d679d48fe33abdcc03ba20e47",
+    "hard": "cf53fb85ee8db9b9d0064fddaa06db139b59c3e937c90a2335284ff10baf776d",
 }
 
 

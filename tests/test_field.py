@@ -7,6 +7,7 @@ from conftest import random_spectrum
 from helios import field
 from helios.errors import DomainError
 from helios.field import (
+    default_cutoff,
     hankel_factors,
     low_pass,
     near_field_trace,
@@ -75,6 +76,18 @@ def test_split_cutoff():
     assert split.N == 2
     assert split.eps1 == pytest.approx(math.sqrt(3.0))
     assert split.eps2 == pytest.approx(math.sqrt(2.0))
+
+
+# perfect squares, the float just below 4, and a seeded spread of kR
+CUTOFF_KR = [4.0, 9.0, 49.0, math.nextafter(4.0, 0.0),
+             *np.random.default_rng(5).uniform(0.1, 400.0, 12).tolist()]
+
+
+@pytest.mark.parametrize("kR", CUTOFF_KR)
+def test_split_uses_the_default_cutoff(kR):
+    N = default_cutoff(kR, 1.0)
+    assert N * N <= kR < (N + 1) * (N + 1)
+    assert split_spectrum(random_spectrum(25, seed=1), kR, 1.0).N == N
 
 
 def test_split_E_definition():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helios.errors import DomainError
+from helios.field import hankel_factors
 from helios.harmonics import CoefficientSpectrum
 from helios.lab import DecayProfile, make_real_perturbation
 from helios.obstacle import (
@@ -11,6 +12,7 @@ from helios.obstacle import (
     default_cutoff,
     forward_hard,
     forward_soft,
+    gain,
     incident_trace,
     inversion_gain_soft,
     invert_hard,
@@ -60,6 +62,29 @@ def test_default_cutoff():
     assert default_cutoff(4.0, 1.0) == 2
     assert default_cutoff(50.0, 1.0) == 7
     assert default_cutoff(2.0, 1.0) == 1
+
+
+# the soft and hard gains as two separate formulas, frozen as they stood
+# before both took their boundary factor from incident_trace
+def frozen_soft_gain(k, R, max_degree):
+    h, _ = hankel_factors(max_degree, k, R)
+    return -((1j * k * R - 1.0) / R) / (1j * k * h)
+
+
+def frozen_hard_gain(k, R, max_degree):
+    _, hp = hankel_factors(max_degree, k, R)
+    return (R / (1j * k * R - 1.0)) / (1j * hp)
+
+
+@pytest.mark.parametrize("k, R", [(4.0, 1.0), (2.0, 1.0), (0.37, 9.0), (33.3, 0.7), (50.0, 1.0)])
+def test_gain_is_bit_identical_to_the_frozen_formulas(k, R):
+    for kind, frozen in (("soft", frozen_soft_gain), ("hard", frozen_hard_gain)):
+        assert gain(kind, k, R, 30).tobytes() == frozen(k, R, 30).tobytes()
+
+
+def test_gain_rejects_unknown_kind():
+    with pytest.raises(DomainError, match="unknown obstacle kind"):
+        gain("mixed", 4.0, 1.0, 3)
 
 
 def test_forward_soft_monopole_magnitude():

@@ -132,3 +132,21 @@ def test_corollary_soft_unknown_variant():
 def test_corollary_terms_sum_to_total():
     terms = corollary_hard_terms(EPS, EPS, E_WORKED, 4.0, 1.0, 1.0)
     assert terms.total == pytest.approx(terms.lipschitz + terms.holder + terms.apriori)
+
+
+ESTIMATES = (rhs_T1, rhs_T2, rhs_T1der, corollary_soft_terms, corollary_hard_terms)
+# (argument slot, value): eps1, eps2, E, k, R, then M (d_norm1 for the corollaries)
+BAD_INPUTS = [(0, math.nan), (0, math.inf), (1, math.nan), (1, math.inf), (2, math.nan),
+              (3, math.nan), (3, math.inf), (4, math.nan), (4, math.inf), (4, 0.0),
+              (5, math.nan), (5, math.inf)]
+
+
+@pytest.mark.parametrize("estimate", ESTIMATES, ids=lambda fn: fn.__name__)
+def test_rejects_non_finite_input(estimate):
+    for slot, value in BAD_INPUTS:
+        args = [EPS, EPS, E_WORKED, 4.0, 1.0, 1.0]
+        args[slot] = value
+        with pytest.raises(DomainError):
+            estimate(*args)
+    # E = +inf is the eps2 = 0 limit, not an error
+    assert math.isfinite(estimate(EPS, 0.0, math.inf, 4.0, 1.0, 1.0).total)
