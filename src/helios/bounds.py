@@ -141,6 +141,7 @@ def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
         raise DomainError(f"need 0 < tmin <= tmax, got [{tmin}, {tmax}]")
     if points < 1:
         raise DomainError("grid needs at least one point")
+    _check_certified(tmax)  # before np.logspace, which may overflow past the ceiling
     if points == 1:
         return np.array([tmin])
     return np.logspace(math.log10(tmin), math.log10(tmax), points)
@@ -193,7 +194,6 @@ def sweep(
     (n, kind, t) order.
     """
     ts = log_grid(tmin, tmax, points)
-    _check_certified(tmax)
     values, derivatives = hankel_table(nmax, ts)
     orders = np.arange(nmax + 1)[:, None]
     columns = []  # per kind: magnitude, bound, applicable, satisfied, each (nmax + 1, points)

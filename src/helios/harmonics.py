@@ -133,6 +133,14 @@ class AggregateSpectrum:
         return float(np.sum(self.values**2))
 
 
+def conjugate_mirror(spectrum: CoefficientSpectrum) -> CoefficientSpectrum:
+    """Spectrum of the complex conjugate function: slot (n, m) holds
+    (-1)^m conj(a_{n,-m}). A real function is its own conjugate mirror."""
+    degree, order = packed_index(spectrum.max_degree)
+    mirror = spectrum.coefficients[degree * (degree + 1) - order]
+    return CoefficientSpectrum.from_packed((-1.0) ** order * np.conjugate(mirror))
+
+
 def aggregate(spectrum: CoefficientSpectrum | AggregateSpectrum) -> AggregateSpectrum:
     """Collapse orders into per-degree magnitudes (Pythagorean sum)."""
     if isinstance(spectrum, AggregateSpectrum):

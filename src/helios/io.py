@@ -1,8 +1,8 @@
 """File formats: JSON spectrum files and the sweep CSV.
 
 A spectrum file carries the wavenumber, the observation radius, and a
-list of coefficient records {n, m, re, im}. Numbers are serialized with
-17 significant digits, so parse/serialize round trips are lossless.
+list of coefficient records {n, m, re, im}. Floats are written as their
+shortest round-trip repr, so parse/serialize round trips are lossless.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ def dump_spectrum(path: str, k: float, R: float, spectrum: CoefficientSpectrum) 
         "coefficients": records,
     }
     with open(path, "w") as fh:
-        # round-trip exact float serialization
-        json.dump(doc, fh, indent=1, default=float)
-        fh.write("\n")
+        # json.dumps without indent runs the C encoder; json.dump never does
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_spectrum(path: str) -> tuple[float, float, CoefficientSpectrum]:

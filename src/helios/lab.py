@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from .harmonics import MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate
+from .harmonics import (MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate, conjugate_mirror,
+                        packed_index)
 from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_inverse
 from .stability import corollary_hard_terms, corollary_soft_terms, verify_theorem
 from .util import require_finite
@@ -54,21 +55,32 @@ def _validate_profile(profile: DecayProfile) -> None:
         raise DomainError(f"profile seed must be nonnegative, got {profile.seed}")
 
 
+def _complex_normals(rng: np.random.Generator, max_degree: int) -> np.ndarray:
+    """A complex normal for every packed slot, from one draw in degree
+    order: degree n's 2n+1 real parts, then its 2n+1 imaginary parts."""
+    degree, order = packed_index(max_degree)
+    draws = rng.standard_normal(2 * (max_degree + 1) ** 2)
+    real = 2 * degree * degree + degree + order  # degree n's draws start at 2n^2
+    return draws[real] + 1j * draws[real + 2 * degree + 1]
+
+
+def _with_degree_magnitudes(raw: np.ndarray, target: np.ndarray) -> CoefficientSpectrum:
+    """The packed array `raw` with each degree n rescaled to aggregate
+    magnitude target[n]; a degree with zero energy or target stays zero."""
+    spectrum = CoefficientSpectrum.from_packed(raw)
+    norm = aggregate(spectrum).values
+    scale = np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return CoefficientSpectrum.from_packed(raw * scale[spectrum.degrees])
+
+
 def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
     """Random spectrum whose per-degree aggregates match the profile
     exactly: orders within each degree carry random complex directions
     renormalized to the target magnitude."""
     _validate_profile(profile)
     rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
-    target = profile.degree_magnitudes()
-    out = CoefficientSpectrum(profile.max_degree)
-    for n in range(profile.max_degree + 1):
-        raw = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-        norm = float(np.linalg.norm(raw))
-        if target[n] == 0.0 or norm == 0.0:
-            continue
-        out.coefficients[n * n : (n + 1) ** 2] = raw * (target[n] / norm)
-    return out
+    raw = _complex_normals(rng, profile.max_degree)
+    return _with_degree_magnitudes(raw, profile.degree_magnitudes())
 
 
 def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
@@ -76,24 +88,14 @@ def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
     decay, built with conjugate symmetry d_{n,-m} = (-1)^m conj(d_{n,m})."""
     _validate_profile(profile)
     rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
-    target = profile.degree_magnitudes()
-    out = CoefficientSpectrum(profile.max_degree)
-    for n in range(profile.max_degree + 1):
-        if target[n] == 0.0:
-            continue
-        # draws in the order d_{n,0}, then re and im of d_{n,m} for m = 1..n
-        draws = rng.standard_normal(2 * n + 1)
-        half = draws[1::2] + 1j * draws[2::2]
-        norm_sq = draws[0] ** 2 + 2.0 * float(np.sum(np.abs(half) ** 2))
-        if norm_sq == 0.0:
-            continue
-        scale = target[n] / math.sqrt(norm_sq)
-        center = n * n + n  # slot of d_{n,0}; d_{n,m} and d_{n,-m} sit m slots either side
-        out.coefficients[center] = draws[0] * scale
-        out.coefficients[center + 1 : center + n + 1] = half * scale
-        m = np.arange(n, 0, -1)
-        out.coefficients[n * n : center] = (-1.0) ** m * np.conjugate(out.coefficients[center + m])
-    return BoundaryPerturbation(out)
+    degree, order = packed_index(profile.max_degree)
+    # degree n's draws start at n^2: d_{n,0}, then re and im of d_{n,m} for m = 1..n
+    draws = rng.standard_normal((profile.max_degree + 1) ** 2)
+    imag = degree * degree + 2 * np.abs(order)  # draw of im d_{n,|m|}, or of d_{n,0}
+    upper = CoefficientSpectrum.from_packed(  # d_{n,|m|} in both slots n, +-m
+        draws[imag - (order != 0)] + 1j * np.where(order != 0, draws[imag], 0.0))
+    raw = np.where(order < 0, conjugate_mirror(upper).coefficients, upper.coefficients)
+    return BoundaryPerturbation(_with_degree_magnitudes(raw, profile.degree_magnitudes()))
 
 
 def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpectrum:
@@ -105,14 +107,8 @@ def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpe
     if delta == 0.0:
         return spectrum
     rng = np.random.default_rng(seed)
-    noise = CoefficientSpectrum(spectrum.max_degree)
-    total = 0.0
-    for n in range(spectrum.max_degree + 1):
-        raw = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
-        total += float(np.sum(np.abs(raw) ** 2))
-        noise.coefficients[n * n : (n + 1) ** 2] = raw
-    scale = delta / math.sqrt(total)
-    return spectrum + noise.scaled(scale)
+    noise = CoefficientSpectrum.from_packed(_complex_normals(rng, spectrum.max_degree))
+    return spectrum + noise.scaled(delta / math.sqrt(noise.energy()))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, hankel_factors
-from .harmonics import CoefficientSpectrum, SphereGrid, packed_index, synthesize
+from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, synthesize
 from .util import require_finite
 
 
@@ -45,10 +45,8 @@ class BoundaryPerturbation:
 
     def conjugate_symmetry_residual(self) -> float:
         """Max |d_{n,-m} - (-1)^m conj(d_{n,m})| over all indices."""
-        d = self.spectrum.coefficients
-        degree, order = packed_index(self.spectrum.max_degree)
-        mirror = d[degree * (degree + 1) - order]
-        return float(np.max(np.abs(mirror - (-1.0) ** order * np.conjugate(d))))
+        mirror = conjugate_mirror(self.spectrum).coefficients
+        return float(np.max(np.abs(self.spectrum.coefficients - mirror)))
 
     def imaginary_residual(self, grid: SphereGrid | None = None) -> float:
         """Relative imaginary residue of the synthesized perturbation."""
@@ -133,10 +131,3 @@ def invert_hard(
         n_cut = default_cutoff(k, R)
     return truncated_inverse(amplitude, gain("hard", k, R, amplitude.max_degree), n_cut)
 
-
-def inversion_gain_soft(k: float, R: float, max_degree: int) -> np.ndarray:
-    """Per-degree noise amplification |k i H_n(kR)| of the soft inverse map
-    (nondecreasing in n beyond n ~ kR: the quantitative face of
-    ill-posedness)."""
-    h, _ = hankel_factors(max_degree, k, R)
-    return k * np.abs(h)

@@ -107,11 +107,16 @@ def rhs_T1der(eps1: float, eps2: float, E: float, k: float, R: float, M2: float)
     if not math.isinf(E) and not E + k > 1.0:
         raise DomainError("derivative estimate needs E + k > 1")
     denom = E + k - 2.0 * math.sqrt(E + k) + 1.0
-    return RhsTerms(
-        lipschitz=math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * k * k * eps1**2,
-        holder=k * k * _exp(2.0 / R) * eps2,
+    # an overflow gives inf, which the check below reports: eps1**2 would raise
+    # OverflowError instead, and k^2 e^(2/R) alone overflows before eps2 shrinks it
+    terms = RhsTerms(
+        lipschitz=math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * k * k * (eps1 * eps1),
+        holder=k * k * eps2 * _exp(2.0 / R),
         apriori=_apriori(R * R * M2 * M2, denom, E),
     )
+    if not all(map(math.isfinite, terms)):
+        raise CapacityError("derivative estimate exceeds the floating range")
+    return terms
 
 
 _RHS = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -289,3 +290,10 @@ def test_checks_above_the_ceiling_raise():
     with pytest.raises(DomainError, match="certified"):
         check_point("global", 1, above)
     assert check_point("global", 1, T_MAX_CERTIFIED).satisfied
+
+
+def test_sweep_refuses_before_building_an_overflowing_grid():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="certified"):
+            sweep(nmax=2, tmin=1.0, tmax=1.7976931348623157e308, points=5)

@@ -310,8 +310,8 @@ CANONICAL_SWEEP = {
     "profile": {"kind": "exponential", "rate": 1.0, "max_degree": 10, "seed": 7},
 }
 CANONICAL_SWEEP_SHA256 = {
-    "soft": "cdc55ec0c3df64bbe32d5c8b434f576633f6ac5d679d48fe33abdcc03ba20e47",
-    "hard": "cf53fb85ee8db9b9d0064fddaa06db139b59c3e937c90a2335284ff10baf776d",
+    "soft": "6603678938373d0f4727a77fd6ca3ca5d565a64ab29181fa27e26b8982b673b3",
+    "hard": "5d1d3dcaef1b54687bcc637f09ce97033b5fd515317503f4cacd89fb13c221ba",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helios import obstacle
+from helios import lab, obstacle
 from helios.errors import DomainError
 from helios.harmonics import aggregate
 from helios.lab import (
@@ -171,3 +171,95 @@ def test_profile_rejects_non_finite(rate, amplitude):
         make_spectrum(profile)
     with pytest.raises(DomainError):
         make_real_perturbation(profile)
+
+
+# The per-degree loops that the array generators replaced, frozen as the
+# reference: the same random streams, and coefficients equal up to the
+# order in which each degree's norm is summed.
+def loop_spectrum(profile):
+    rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
+    target = profile.degree_magnitudes()
+    out = np.zeros((profile.max_degree + 1) ** 2, dtype=complex)
+    for n in range(profile.max_degree + 1):
+        raw = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+        norm = float(np.linalg.norm(raw))
+        if target[n] == 0.0 or norm == 0.0:
+            continue
+        out[n * n : (n + 1) ** 2] = raw * (target[n] / norm)
+    return out
+
+
+def loop_real_perturbation(profile):
+    rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
+    target = profile.degree_magnitudes()
+    out = np.zeros((profile.max_degree + 1) ** 2, dtype=complex)
+    for n in range(profile.max_degree + 1):
+        if target[n] == 0.0:
+            continue
+        draws = rng.standard_normal(2 * n + 1)
+        half = draws[1::2] + 1j * draws[2::2]
+        norm_sq = draws[0] ** 2 + 2.0 * float(np.sum(np.abs(half) ** 2))
+        if norm_sq == 0.0:
+            continue
+        scale = target[n] / math.sqrt(norm_sq)
+        center = n * n + n
+        out[center] = draws[0] * scale
+        out[center + 1 : center + n + 1] = half * scale
+        m = np.arange(n, 0, -1)
+        out[n * n : center] = (-1.0) ** m * np.conjugate(out[center + m])
+    return out
+
+
+def loop_normals(rng, max_degree):
+    return np.concatenate([
+        rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+        for n in range(max_degree + 1)
+    ])
+
+
+def loop_perturb(coefficients, delta, seed):
+    noise = loop_normals(np.random.default_rng(seed), math.isqrt(len(coefficients)) - 1)
+    return coefficients + noise * (delta / math.sqrt(float(np.sum(np.abs(noise) ** 2))))
+
+
+def assert_matches_loop(new, old):
+    for part in ("real", "imag"):
+        assert np.array_equal(getattr(new, part) == 0.0, getattr(old, part) == 0.0)
+    large = np.abs(old) > 1e-290
+    assert np.all(np.abs(new[large] - old[large]) <= 2e-15 * np.abs(old[large]))
+
+
+LOOP_DEGREES = [0, 1, 7, 30, 60]
+# (kind, rate, amplitude): a plain decay, amplitude 0, and a rate whose
+# tail underflows to zero before degree 60
+LOOP_PROFILES = [
+    ("exponential", 0.7, 1.0), ("exponential", 0.7, 0.0), ("exponential", 20.0, 1.0),
+    ("algebraic", 1.5, 1.0), ("algebraic", 1.5, 0.0), ("algebraic", 200.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("max_degree", LOOP_DEGREES)
+@pytest.mark.parametrize("kind, rate, amplitude", LOOP_PROFILES)
+def test_generators_match_the_per_degree_loops(kind, rate, amplitude, max_degree):
+    for seed in range(5):
+        profile = DecayProfile(kind, rate, max_degree, seed=seed, amplitude=amplitude)
+        assert_matches_loop(make_spectrum(profile).coefficients, loop_spectrum(profile))
+        assert_matches_loop(make_real_perturbation(profile).spectrum.coefficients,
+                            loop_real_perturbation(profile))
+
+
+@pytest.mark.parametrize("max_degree", LOOP_DEGREES)
+def test_draw_order_is_the_loops(max_degree):
+    for seed in range(5):
+        new = lab._complex_normals(np.random.default_rng(seed), max_degree)
+        old = loop_normals(np.random.default_rng(seed), max_degree)
+        assert new.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("max_degree", LOOP_DEGREES)
+def test_perturb_matches_the_per_degree_loop(max_degree):
+    spectrum = make_spectrum(DecayProfile("exponential", 0.7, max_degree, seed=3))
+    for seed in range(5):
+        child = np.random.SeedSequence(entropy=seed, spawn_key=(1, 2))
+        noisy = perturb(spectrum, 1e-3, child).coefficients
+        assert_matches_loop(noisy, loop_perturb(spectrum.coefficients, 1e-3, child))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helios.errors import DomainError
+from helios.errors import CapacityError, DomainError
 from helios.harmonics import AggregateSpectrum
 from helios.stability import (
     corollary_hard_terms,
@@ -150,3 +150,23 @@ def test_rejects_non_finite_input(estimate):
             estimate(*args)
     # E = +inf is the eps2 = 0 limit, not an error
     assert math.isfinite(estimate(EPS, 0.0, math.inf, 4.0, 1.0, 1.0).total)
+
+
+def test_hard_corollary_holder_term_finite_at_large_k():
+    # k^2 e^(2/R) alone overflows; the term is e^(2/R) eps2 (k^2 R^2 + 1)/(k^2 R^2)
+    k, R, eps2 = 6e129, 0.011, 1e-300
+    holder = corollary_hard_terms(0.1, eps2, 690.0, k, R, 1.0).holder
+    expected = math.exp(2.0 / R) * eps2 * (k * k * R * R + 1.0) / (k * k * R * R)
+    assert holder == pytest.approx(9.1756e-222, rel=1e-4)
+    assert holder == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, EPS, E_WORKED, 1e154, 1.0, 1.0),    # Lipschitz term k^2 eps1^2 alone
+    (1e200, EPS, E_WORKED, 4.0, 1.0, 1.0),    # the same through eps1^2
+    (0.0, EPS, E_WORKED, 1e150, 0.01, 1.0),   # Hoelder term k^2 eps2 e^(2/R) alone
+    (EPS, EPS, E_WORKED, 4.0, 1.0, 1e200),    # a-priori term R^2 M2^2 alone
+])
+def test_rhs_T1der_never_returns_an_infinite_term(args):
+    with pytest.raises(CapacityError):
+        rhs_T1der(*args)
