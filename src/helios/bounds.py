@@ -22,10 +22,10 @@ margin of about 1/t (1e-11 at t = 1e11, n <= 60), and far beyond that the
 margin rounds to a tie, which would read as a violation.
 
 The envelope functions and the verdict rule accept scalars or broadcast
-arrays, so `check_point` (one point, magnitude from the double-double
-finite sum) and `sweep` (a whole grid, magnitudes from one
-`hankel_table` call, verdicts as the columns of one `EnvelopeTable`)
-share a single definition of each formula.
+arrays, so `check_point` (one point, magnitude from the exact finite
+sum) and `sweep` (a whole grid, magnitudes from one `hankel_table` call,
+verdicts as the columns of one `EnvelopeTable`) share a single
+definition of each formula.
 """
 
 from __future__ import annotations
@@ -186,9 +186,8 @@ def sweep(
     tmin: float = 0.1,
     tmax: float = 200.0,
     points: int = 200,
-    kinds: tuple[str, ...] = KINDS,
 ) -> EnvelopeTable:
-    """Check the requested envelopes on an (n, t) log grid.
+    """Check every envelope on an (n, t) log grid.
 
     One `hankel_table` call gives every magnitude; rows come in
     (n, kind, t) order.
@@ -197,17 +196,16 @@ def sweep(
     values, derivatives = hankel_table(nmax, ts)
     orders = np.arange(nmax + 1)[:, None]
     columns = []  # per kind: magnitude, bound, applicable, satisfied, each (nmax + 1, points)
-    for kind in kinds:
+    for kind in KINDS:
         magnitude = np.abs(derivatives if kind.endswith("deriv") else values)
         judged = _judge(kind, orders, ts, magnitude)
         columns.append(np.broadcast_arrays(magnitude, *judged))
     # stacked on axes (n, kind, t) and flattened in that order
     grids = [np.stack(grid, axis=1).ravel() for grid in zip(*columns)]
-    kind_index = np.array([KINDS.index(kind) for kind in kinds])
     return EnvelopeTable(
-        np.tile(np.repeat(kind_index, len(ts)), nmax + 1),
-        np.repeat(np.arange(nmax + 1), len(kinds) * len(ts)),
-        np.tile(ts, (nmax + 1) * len(kinds)),
+        np.tile(np.repeat(np.arange(len(KINDS)), len(ts)), nmax + 1),
+        np.repeat(np.arange(nmax + 1), len(KINDS) * len(ts)),
+        np.tile(ts, (nmax + 1) * len(KINDS)),
         *grids,
     )
 

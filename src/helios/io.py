@@ -60,19 +60,8 @@ def load_spectrum(path: str) -> tuple[float, float, CoefficientSpectrum]:
 
 
 def write_sweep_csv(fh: TextIO, rows: list[SweepRow]) -> None:
+    # fmt(N) == str(N) for the integer column: every N is below 2^53
     fh.write(CSV_HEADER + "\n")
+    names = CSV_HEADER.split(",")
     for r in rows:
-        fields = [
-            fmt(r.k),
-            str(r.N),
-            fmt(r.eps1),
-            fmt(r.eps2),
-            fmt(r.E),
-            fmt(r.lhs),
-            fmt(r.rhs_lipschitz),
-            fmt(r.rhs_holder),
-            fmt(r.rhs_apriori),
-            fmt(r.rhs_total),
-            fmt(r.reconstruction_error),
-        ]
-        fh.write(",".join(fields) + "\n")
+        fh.write(",".join(fmt(getattr(r, name)) for name in names) + "\n")

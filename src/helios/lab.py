@@ -183,22 +183,8 @@ def ksweep(
             err = sobolev_norm(diff.values, 0, R)
             if not all(map(math.isfinite, (split.eps1, split.eps2, lhs, terms.total, err))):
                 raise CapacityError(f"sweep row at k={k} exceeds the floating range")
-            rows.append(
-                SweepRow(
-                    k=k,
-                    replicate=rep,
-                    N=split.N,
-                    eps1=split.eps1,
-                    eps2=split.eps2,
-                    E=split.E,
-                    lhs=lhs,
-                    rhs_lipschitz=terms.lipschitz,
-                    rhs_holder=terms.holder,
-                    rhs_apriori=terms.apriori,
-                    rhs_total=terms.total,
-                    reconstruction_error=err,
-                )
-            )
+            rows.append(SweepRow(k, rep, split.N, split.eps1, split.eps2, split.E, lhs,
+                                 *terms, terms.total, err))
     return rows
 
 

@@ -14,22 +14,20 @@ from the upward three-term recurrence, and an independent magnitude
 oracle built from Bessel recurrences (upward for y_n, normalized downward
 Miller scheme for j_n).
 
-The finite sum is exact (no truncation); terms are generated by the ratio
-recursion term_{m+1} = term_m * i * (n+m+1)(n-m) / (2t(m+1)) and summed in
-ascending m in double-double arithmetic built on error-free
-transformations, which keeps the relative error of S_n(t) below 1e-12
-even in the cancellation-heavy region t ~ n. It is the certified oracle
-behind the scalar API (`hankel_paper`, `hankel_paper_deriv`,
-`hankel_value`). `hankel_table` is the fast path for everything that
-needs many values; the tests hold it to the finite sum within 1e-13
-relative. Magnitudes agree with the classical spherical Hankel function
-times sqrt(2/pi); the global phase is the standard one, so the identity
-H_0' = -H_1 holds exactly.
+The finite sum is exact (no truncation). `t` is a binary float, so
+t = p/q exactly, and every term times (2p)^n is a Gaussian integer: the
+sum is formed exactly in Python integers and each real and imaginary part
+is rounded once, correctly. It is the oracle behind the scalar API
+(`hankel_paper`, `hankel_paper_deriv`, `hankel_value`). `hankel_table` is
+the fast path for everything that needs many values; the tests hold it to
+the finite sum within 1e-13 relative. Magnitudes agree with the classical
+spherical Hankel function times sqrt(2/pi); the global phase is the
+standard one, so the identity H_0' = -H_1 holds exactly.
 
-Arguments outside the domain raise DomainError; a finite sum whose terms
-would exceed CAPACITY_LIMIT, or a result that is not representable in
-double precision, raises CapacityError. The table raises the same class
-as the scalar API would for some order and argument it covers.
+Arguments outside the domain raise DomainError; a sum, value or
+derivative that is not representable in double precision raises
+CapacityError. The table raises the same class as the scalar API would
+for some order and argument it covers.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _dd
 from .errors import CapacityError, DomainError
 from .util import require_finite
 
@@ -83,41 +80,29 @@ def _representable(z: complex, n: int, t: float) -> complex:
 
 
 def _finite_sums(n: int, t: float) -> tuple[complex, complex]:
-    """Return (S_n(t), sum_{m>=1} m*term_m) via the term-ratio recursion.
+    """Return (S_n(t), sum_{m>=1} m*term_m), each part correctly rounded.
 
-    Term and partial sums are carried as double-double complex values;
-    raises CapacityError when a term or partial-sum magnitude would exceed
-    CAPACITY_LIMIT.
+    The float t is exactly p/q, so with P = 2p each term is
+    term_m = i^m w_m / P^n for the integer weight w_m = c_m q^m P^(n-m),
+    c_m = (n+m)!/(m!(n-m)!). Both sums are formed exactly in integers,
+    split by m mod 4 into real and imaginary parts, and each part is
+    rounded once; a part beyond the float range raises CapacityError.
     """
-    # complex double-double: (re_hi, re_lo, im_hi, im_lo)
-    tr, trl, ti, til = 1.0, 0.0, 0.0, 0.0  # current term
-    sr, srl, si, sil = 1.0, 0.0, 0.0, 0.0  # S_n partial sum
-    mr, mrl, mi, mil = 0.0, 0.0, 0.0, 0.0  # sum of m * term_m
-    two_t = 2.0 * t
-    for m in range(n):
-        num = float((n + m + 1) * (n - m))
-        dh, dl = _dd.two_prod(two_t, float(m + 1))
-        rh, rl = _dd.dd_div_f(num, dh, dl)
-        # term *= i * r: multiply by r, then rotate (re, im) -> (-im, re)
-        ar, arl = _dd.dd_mul(tr, trl, rh, rl)
-        ai, ail = _dd.dd_mul(ti, til, rh, rl)
-        tr, trl, ti, til = -ai, -ail, ar, arl
-        if abs(tr) > CAPACITY_LIMIT or abs(ti) > CAPACITY_LIMIT:
-            raise CapacityError(
-                f"term magnitude overflow in finite sum at n={n}, t={t}, m={m + 1}"
-            )
-        sr, srl = _dd.dd_add(sr, srl, tr, trl)
-        si, sil = _dd.dd_add(si, sil, ti, til)
-        w = float(m + 1)
-        wr, wrl = _dd.dd_mul_f(tr, trl, w)
-        wi, wil = _dd.dd_mul_f(ti, til, w)
-        mr, mrl = _dd.dd_add(mr, mrl, wr, wrl)
-        mi, mil = _dd.dd_add(mi, mil, wi, wil)
-        if abs(sr) > CAPACITY_LIMIT or abs(si) > CAPACITY_LIMIT:
-            raise CapacityError(
-                f"partial sum overflow in finite sum at n={n}, t={t}, m={m + 1}"
-            )
-    return complex(sr + srl, si + sil), complex(mr + mrl, mi + mil)
+    p, q = t.as_integer_ratio()
+    P, e = 2 * p, q.bit_length() - 1  # q = 2^e, so q^m is a shift
+    s, ms = [0] * 4, [0] * 4
+    c = 1
+    for m in range(n + 1):
+        w = c * P ** (n - m) << e * m
+        s[m % 4] += w
+        ms[m % 4] += m * w
+        c = c * (n + m + 1) * (n - m) // (m + 1)
+    d = P**n
+    try:
+        return (complex((s[0] - s[2]) / d, (s[1] - s[3]) / d),
+                complex((ms[0] - ms[2]) / d, (ms[1] - ms[3]) / d))
+    except OverflowError:
+        raise CapacityError(f"finite sum for H_{n}({t}) exceeds the floating range") from None
 
 
 def _phase(n: int, t: float) -> complex:
@@ -129,8 +114,9 @@ def _value(n: int, t: float, s: complex) -> complex:
 
 
 def _derivative(n: int, t: float, s: complex, ms: complex) -> complex:
-    # divide by t twice: t * t underflows to zero for t < 1e-154
-    return _representable(_phase(n, t) / t / t * ((1j * t - 1.0) * s - ms), n, t)
+    # one division by t on each side of the bracket (about i*t for large t):
+    # 1/t^2 underflows above t = 1e154, and t * t underflows below 1e-154
+    return _representable(_phase(n, t) / t * ((1j * t - 1.0) * s - ms) / t, n, t)
 
 
 def hankel_paper(n: int, t: float) -> complex:
@@ -167,11 +153,12 @@ def hankel_table(nmax: int, t_array) -> tuple[np.ndarray, np.ndarray]:
     equivalent form f_n' = f_{n-1} - (n+1)/t f_n, which needs no order
     above nmax, and H_0' = -H_1 holds exactly.
 
-    A column with an entry beyond CAPACITY_LIMIT is where the finite sum
-    may overflow its terms or its result, so that column is redone by
-    `hankel_value`: the table raises DomainError or CapacityError exactly
-    where `hankel_value(n, t)` raises it for some n <= nmax, and never
-    returns inf or NaN.
+    At small t the recurrence overflows to inf, or to NaN through
+    inf - inf, so a column with an entry beyond CAPACITY_LIMIT is redone
+    by `hankel_value`, which returns the representable value or raises:
+    the table raises DomainError or CapacityError exactly where
+    `hankel_value(n, t)` raises it for some n <= nmax, and never returns
+    inf or NaN.
     """
     t = np.asarray(t_array, dtype=float).reshape(-1)
     _check_args(nmax, t)

@@ -79,13 +79,21 @@ def _exp(x: float) -> float:
         raise CapacityError(f"e^{x:g} exceeds the floating range") from None
 
 
+def _terms(lipschitz: float, holder: float, apriori: float) -> RhsTerms:
+    """The breakdown of one estimate; a term that overflowed to inf (or NaN
+    from inf * 0) raises CapacityError, so no estimate returns one."""
+    terms = RhsTerms(lipschitz, holder, apriori)
+    if not all(map(math.isfinite, terms)):
+        raise CapacityError("stability estimate exceeds the floating range")
+    return terms
+
+
 def _trace_terms(eps1: float, E: float, k: float, R: float, M1: float, holder: float) -> RhsTerms:
     """The Lipschitz and a-priori terms that both trace estimates share."""
-    return RhsTerms(
-        lipschitz=2.0 * math.e**2 / math.pi * eps1**2,
-        holder=holder,
-        apriori=_apriori(R * R * M1 * M1, E + k, E),
-    )
+    # eps1 * eps1 overflows to inf, which _terms reports; eps1**2 would raise
+    # OverflowError instead
+    return _terms(2.0 * math.e**2 / math.pi * (eps1 * eps1), holder,
+                  _apriori(R * R * M1 * M1, E + k, E))
 
 
 def rhs_T1(eps1: float, eps2: float, E: float, k: float, R: float, M1: float) -> RhsTerms:
@@ -107,16 +115,10 @@ def rhs_T1der(eps1: float, eps2: float, E: float, k: float, R: float, M2: float)
     if not math.isinf(E) and not E + k > 1.0:
         raise DomainError("derivative estimate needs E + k > 1")
     denom = E + k - 2.0 * math.sqrt(E + k) + 1.0
-    # an overflow gives inf, which the check below reports: eps1**2 would raise
-    # OverflowError instead, and k^2 e^(2/R) alone overflows before eps2 shrinks it
-    terms = RhsTerms(
-        lipschitz=math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * k * k * (eps1 * eps1),
-        holder=k * k * eps2 * _exp(2.0 / R),
-        apriori=_apriori(R * R * M2 * M2, denom, E),
-    )
-    if not all(map(math.isfinite, terms)):
-        raise CapacityError("derivative estimate exceeds the floating range")
-    return terms
+    # k^2 e^(2/R) alone overflows before eps2 shrinks it
+    return _terms(math.e**2 / math.pi * (3.0 + math.sqrt(5.0)) * k * k * (eps1 * eps1),
+                  k * k * eps2 * _exp(2.0 / R),
+                  _apriori(R * R * M2 * M2, denom, E))
 
 
 _RHS = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}

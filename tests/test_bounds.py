@@ -147,7 +147,7 @@ def test_sweep_deterministic_order():
 @pytest.mark.parametrize("seed", range(8))
 def test_sweep_verdicts_match_finite_sum(seed):
     # seeded sub-grids: every report of the one-table sweep equals the
-    # per-point check through the double-double finite sum
+    # per-point check through the exact finite sum
     rng = np.random.default_rng(seed)
     nmax = int(rng.integers(0, 51))
     lo, hi = sorted(10.0 ** rng.uniform(-1.0, math.log10(200.0), size=2))

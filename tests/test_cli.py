@@ -43,6 +43,14 @@ def test_hankel_derivative(capsys):
     assert magnitude == pytest.approx(expected, rel=1e-12)
 
 
+def test_hankel_derivative_at_a_huge_argument(capsys):
+    # |H_0'(t)| = sqrt(2/pi)/t * sqrt(1 + 1/t^2), though 1/t^2 underflows out here
+    assert main(["hankel", "0", "1e200", "--deriv"]) == 0
+    magnitude = float(capsys.readouterr().out.strip().split("magnitude=")[1])
+    expected = math.sqrt(2.0 / math.pi) / 1e200
+    assert abs(magnitude - expected) <= 1e-14 * expected
+
+
 def test_hankel_domain_error(capsys):
     assert main(["hankel", "1", "0.0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,13 +1,10 @@
 """helios modules share only public names: none imports an
-underscore-prefixed name from another helios module. The double-double
-kernel `_dd` is private to the package and exempt."""
+underscore-prefixed name from another helios module."""
 
 import ast
 import pathlib
 
 import helios
-
-EXEMPT = {"_dd"}
 
 
 def private_imports(path: pathlib.Path) -> list[str]:
@@ -22,7 +19,7 @@ def private_imports(path: pathlib.Path) -> list[str]:
                      for part in alias.name.split(".")[1:]]
         else:
             continue
-        found += [name for name in module + names if name.startswith("_") and name not in EXEMPT]
+        found += [name for name in module + names if name.startswith("_")]
     return found
 
 
@@ -39,4 +36,4 @@ def test_the_check_sees_private_imports(tmp_path):
                       "from helios._private import x\n"
                       "import helios._hidden\n"
                       "import numpy._core\n")
-    assert private_imports(sample) == ["_check_kR", "_private", "_hidden"]
+    assert private_imports(sample) == ["_check_kR", "_dd", "_private", "_hidden"]

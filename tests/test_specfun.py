@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import relative_table_error
+from helios import specfun
 from helios.errors import CapacityError, DomainError
 from helios.specfun import (
     N_MAX_SUPPORTED,
@@ -151,6 +153,8 @@ def test_table_shape():
 
 def test_table_matches_finite_sum():
     ts = np.logspace(np.log10(0.1), np.log10(200.0), 60)
+    # out here the derivative divides by t on either side of a bracket of size t
+    ts = np.append(ts, [1e100, 1e156, 1e160, 1e200, 1e300, 1.7e308])
     assert relative_table_error(N_MAX_SUPPORTED, ts) <= TABLE_TOL
 
 
@@ -183,7 +187,7 @@ def outcome(fn):
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 30, 60, 61])
 def test_table_raises_what_hankel_value_raises(n):
-    ts = [1e-300, 1e-200, 1e-4, 1e-3, 0.1, 1.0, 200.0, 1e6]
+    ts = [1e-300, 1e-200, 1e-4, 1e-3, 0.1, 1.0, 200.0, 1e6, 1e200, 1.7e308]
     ts += [0.0, -1.0, math.inf, -math.inf, math.nan]
     for t in ts:
         expected = outcome(lambda: hankel_value(n, t))
@@ -219,9 +223,33 @@ def test_table_capacity_boundary_matches_finite_sum(n):
 
 
 def test_tiny_argument_is_a_capacity_error():
-    # t * t underflows here; the derivative is not representable
+    # the derivative, about 1/t^2, is not representable
     with pytest.raises(CapacityError):
         hankel_value(0, 1e-200)
     with pytest.raises(CapacityError):
         hankel_paper_deriv(0, 1e-200)
     assert math.isfinite(abs(hankel_paper(0, 1e-200)))
+
+
+def fraction_sums(n, t):
+    """S_n(t) and sum m*term_m as (re, im) float pairs, summed term by
+    term in exact rationals and rounded once."""
+    x = 1 / (2 * Fraction(t))
+    s, ms = [Fraction(0)] * 2, [Fraction(0)] * 2
+    for m in range(n + 1):
+        c = math.factorial(n + m) // (math.factorial(m) * math.factorial(n - m))
+        term = (1, 1, -1, -1)[m % 4] * c * x**m  # i^m splits into a sign and a part
+        s[m % 2] += term
+        ms[m % 2] += m * term
+    return tuple(map(float, s)), tuple(map(float, ms))
+
+
+FRACTION_TS = [*np.logspace(-3, 6, 19), *10.0 ** np.random.default_rng(5).uniform(-3, 6, 5),
+               1.7e308]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 60])
+def test_finite_sums_are_correctly_rounded(n):
+    for t in map(float, FRACTION_TS):
+        s, ms = specfun._finite_sums(n, t)
+        assert ((s.real, s.imag), (ms.real, ms.imag)) == fraction_sums(n, t), (n, t)

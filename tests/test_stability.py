@@ -170,3 +170,11 @@ def test_hard_corollary_holder_term_finite_at_large_k():
 def test_rhs_T1der_never_returns_an_infinite_term(args):
     with pytest.raises(CapacityError):
         rhs_T1der(*args)
+
+
+@pytest.mark.parametrize("estimate", ESTIMATES[:3], ids=lambda fn: fn.__name__)
+def test_estimates_never_return_an_infinite_term(estimate):
+    # eps1^2 overflows in the Lipschitz term, M^2 in the a-priori term
+    for args in [(1e200, 1e-3, 5.0, 4.0, 1.0, 1.0), (1e-3, 1e-3, 5.0, 4.0, 1.0, 1e307)]:
+        with pytest.raises(CapacityError):
+            estimate(*args)
