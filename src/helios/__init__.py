@@ -21,6 +21,7 @@ from .field import (
     SpectralSplit,
     low_pass,
     near_field_trace,
+    near_field_traces,
     norm_identity_check,
     sobolev_norm,
     sobolev_norm_sq,
@@ -60,6 +61,7 @@ from .stability import (
     rhs_T1,
     rhs_T1der,
     rhs_T2,
+    verify_ensemble,
     verify_theorem,
 )
 

@@ -75,14 +75,35 @@ def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.
 
 def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
     """Trace of the radiating field generated by a far-field spectrum."""
-    agg = aggregate(spectrum)
-    h, hp = hankel_factors(agg.max_degree, k, R)
-    return NearFieldTrace(
-        k=k,
-        R=R,
-        values=1j * k * agg.values * h,
-        radial_derivatives=1j * k * k * agg.values * hp,
-    )
+    return near_field_traces([(spectrum, k)], R)[0]
+
+
+def near_field_traces(members, R: float) -> list[NearFieldTrace]:
+    """Traces of several (spectrum, k) pairs on one sphere of radius R,
+    from one Hankel table over all their wavenumbers. Each equals the
+    trace of that pair alone bit for bit: a table column does not depend
+    on the other columns, rows n <= L do not depend on rows above L, and
+    no column is redone from the finite sum, since for kR >= KR_MIN every
+    entry up to degree 60 stays below CAPACITY_LIMIT (|H_60'(0.1)| is
+    about 3.4e162)."""
+    for _, k in members:
+        _check_kR(k, R)
+    aggs = [aggregate(spectrum) for spectrum, _ in members]
+    if not aggs:
+        return []
+    ks = [k for _, k in members]
+    values, derivatives = hankel_table(max(agg.max_degree for agg in aggs), np.array(ks) * R)
+    # one contiguous row per member, as a one-column table would give
+    values, derivatives = values.T.copy(), derivatives.T.copy()
+    return [
+        NearFieldTrace(
+            k=k,
+            R=R,
+            values=1j * k * agg.values * values[j, : agg.max_degree + 1],
+            radial_derivatives=1j * k * k * agg.values * derivatives[j, : agg.max_degree + 1],
+        )
+        for j, (agg, k) in enumerate(zip(aggs, ks))
+    ]
 
 
 def sobolev_norm_sq(values, l: int, R: float) -> float:

@@ -31,11 +31,30 @@ def sph_harm_y(n, m, theta, phi):
     return scipy_sph_harm_y(n, m, theta, phi)
 
 
-def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Degree n and order m of each slot n^2 + n + m of a packed spectrum."""
+def _packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     n = np.arange(max_degree + 1)
     degree = np.repeat(n, 2 * n + 1)
-    return degree, np.arange(degree.size) - degree * (degree + 1)
+    order = np.arange(degree.size) - degree * (degree + 1)
+    degree.flags.writeable = order.flags.writeable = False
+    return degree, order
+
+
+_PACKED_INDEX = _packed_index(MAX_DEGREE_SUPPORTED)
+
+
+def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree n and order m of each slot n^2 + n + m of a packed spectrum,
+    as read-only arrays. Packed order is degree-major, so up to
+    MAX_DEGREE_SUPPORTED they are prefix views of one shared table."""
+    if not 0 <= max_degree <= MAX_DEGREE_SUPPORTED:
+        return _packed_index(max_degree)  # only a grid build asks for more
+    size = (max_degree + 1) ** 2
+    return _PACKED_INDEX[0][:size], _PACKED_INDEX[1][:size]
+
+
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 0 or max_degree > MAX_DEGREE_SUPPORTED:
+        raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
 
 
 @dataclass(frozen=True, order=True)
@@ -55,23 +74,52 @@ class HarmonicIndex:
 class CoefficientSpectrum:
     """Complex coefficients a_{m,n} of a surface expansion, indexed by
     (degree n, order m) and stored packed in `coefficients`; `degrees`
-    holds the degree n of each slot."""
+    holds the degree n of each slot (a read-only array shared by every
+    spectrum of the same degree)."""
 
     def __init__(self, max_degree: int, entries: dict[tuple[int, int], complex] | None = None):
-        if max_degree < 0 or max_degree > MAX_DEGREE_SUPPORTED:
-            raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
+        _check_max_degree(max_degree)
         self.max_degree = max_degree
         self.coefficients = np.zeros((max_degree + 1) ** 2, dtype=complex)
         self.degrees = packed_index(max_degree)[0]
         if entries:
-            for (n, m), value in entries.items():
-                self[n, m] = value
+            self._fill(entries)
+
+    def _fill(self, entries: dict[tuple[int, int], complex]) -> None:
+        """Set every entry in one fancy assignment. Keys that are not all
+        integer pairs, or a value complex() rejects, take the per-entry
+        path; otherwise the first offending entry goes through __setitem__,
+        which raises the error the per-entry path would."""
+        try:
+            keys = np.array(list(entries))
+            values = np.fromiter(map(complex, entries.values()), dtype=complex,
+                                 count=len(entries))
+            vectorized = keys.dtype.kind == "i" and keys.shape == (len(entries), 2)
+        except (TypeError, ValueError, OverflowError):
+            vectorized = False
+        if not vectorized:
+            for key, value in entries.items():
+                self[key] = value
+            return
+        n, m = keys.T
+        bad = (n < 0) | (n > self.max_degree) | (m > n) | (m < -n) | ~np.isfinite(values)
+        if bad.any():
+            key = list(entries)[int(np.argmax(bad))]
+            self[key] = entries[key]
+        self.coefficients[n * n + n + m] = values
 
     @classmethod
     def from_packed(cls, coefficients: np.ndarray) -> "CoefficientSpectrum":
         """Spectrum holding a packed array of length (L+1)^2 (not copied)."""
-        out = cls(math.isqrt(len(coefficients)) - 1)
+        max_degree = math.isqrt(len(coefficients)) - 1
+        if len(coefficients) != (max_degree + 1) ** 2:
+            raise DomainError(
+                f"packed spectrum length {len(coefficients)} is not a square (L+1)^2")
+        _check_max_degree(max_degree)
+        out = cls.__new__(cls)
+        out.max_degree = max_degree
         out.coefficients = coefficients
+        out.degrees = packed_index(max_degree)[0]
         return out
 
     def __getitem__(self, key: tuple[int, int]) -> complex:

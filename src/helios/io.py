@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING, TextIO
 
 from .errors import DomainError
-from .harmonics import CoefficientSpectrum
+from .harmonics import CoefficientSpectrum, packed_index
 from .util import require_finite
 
 if TYPE_CHECKING:
@@ -25,19 +25,22 @@ def fmt(x: float) -> str:
 
 
 def dump_spectrum(path: str, k: float, R: float, spectrum: CoefficientSpectrum) -> None:
-    records = [
-        {"n": n, "m": m, "re": float(v.real), "im": float(v.imag)}
-        for (n, m), v in spectrum.items()
-    ]
-    doc = {
-        "k": float(k),
-        "R": float(R),
-        "max_degree": spectrum.max_degree,
-        "coefficients": records,
-    }
+    """Write one line: the text json.dumps gives for the file's document,
+    formatted directly. json writes a finite float as its repr, so this is
+    the same text byte for byte; a non-finite value would be written as
+    NaN or Infinity, which load_spectrum rejects, so it raises first."""
+    k, R = float(k), float(R)
+    require_finite(k=k, R=R, coefficients=spectrum.coefficients)
+    degree, order = packed_index(spectrum.max_degree)
+    records = ", ".join(
+        f'{{"n": {n}, "m": {m}, "re": {re!r}, "im": {im!r}}}'
+        for n, m, re, im in zip(degree.tolist(), order.tolist(),
+                                spectrum.coefficients.real.tolist(),
+                                spectrum.coefficients.imag.tolist())
+    )
     with open(path, "w") as fh:
-        # json.dumps without indent runs the C encoder; json.dump never does
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(f'{{"k": {k!r}, "R": {R!r}, "max_degree": {spectrum.max_degree}, '
+                 f'"coefficients": [{records}]}}\n')
 
 
 def load_spectrum(path: str) -> tuple[float, float, CoefficientSpectrum]:

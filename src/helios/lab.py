@@ -20,7 +20,7 @@ from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from .harmonics import (MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate, conjugate_mirror,
                         packed_index)
 from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_inverse
-from .stability import corollary_hard_terms, corollary_soft_terms, verify_theorem
+from .stability import corollary_hard_terms, corollary_soft_terms, verify_ensemble
 from .util import require_finite
 
 
@@ -229,8 +229,7 @@ def ensemble_verify(
     kr_range)`; returns (failures, min_slack)."""
     failures = 0
     min_slack = math.inf
-    for spectrum, k in random_ensemble(size, seed, kr_range):
-        report = verify_theorem(spectrum, k, 1.0, which)
+    for report in verify_ensemble(random_ensemble(size, seed, kr_range), 1.0, which):
         min_slack = min(min_slack, report.rhs_total - report.lhs)
         if not report.satisfied:
             failures += 1

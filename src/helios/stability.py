@@ -1,6 +1,7 @@
 """Right-hand sides of the near-field stability estimates and the
 linearized-obstacle corollaries, plus a verifier that checks the
-inequalities against traces computed from actual spectra.
+inequalities against traces computed from actual spectra, one spectrum
+or a whole ensemble at a time.
 
 The three estimates bound squared surface norms of the trace (or of its
 radial derivative) by a Lipschitz term in eps1, a Hoelder-type term in
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CapacityError, DomainError
-from .field import near_field_trace, sobolev_norm_sq, split_spectrum
+from .field import near_field_traces, sobolev_norm_sq, split_spectrum
+from .harmonics import aggregate
 from .util import require_finite
 
 
@@ -130,29 +132,40 @@ def verify_theorem(spectrum, k: float, R: float, which: str) -> StabilityReport:
     lhs is the squared surface norm of the trace (T1, T2) or of its radial
     derivative (T1der); M1/M2 are first-order norms of the same trace.
     """
+    return verify_ensemble([(spectrum, k)], R, which)[0]
+
+
+def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
+    """`verify_theorem` for every (spectrum, k) pair on one sphere of
+    radius R, with each spectrum aggregated once and the traces taken from
+    one Hankel table. Norms and right-hand sides stay per member, so each
+    report equals that of `verify_theorem` bit for bit."""
     if which not in _RHS:
         raise DomainError(f"unknown estimate {which!r} (expected T1, T2, or T1der)")
-    split = split_spectrum(spectrum, k, R)
-    trace = near_field_trace(spectrum, k, R)
-    values = trace.radial_derivatives if which == "T1der" else trace.values
-    lhs = sobolev_norm_sq(values, 0, R)
-    M = math.sqrt(sobolev_norm_sq(values, 1, R))
-    terms = _RHS[which](split.eps1, split.eps2, split.E, k, R, M)
-    return StabilityReport(
-        lhs=lhs,
-        rhs_terms=terms,
-        satisfied=lhs <= terms.total,
-        inputs={
-            "k": k,
-            "R": R,
-            "N": split.N,
-            "eps1": split.eps1,
-            "eps2": split.eps2,
-            "E": split.E,
-            ("M2" if which == "T1der" else "M1"): M,
-            "which": which,
-        },
-    )
+    aggregated = [(aggregate(spectrum), k) for spectrum, k in members]
+    splits = [split_spectrum(agg, k, R) for agg, k in aggregated]
+    reports = []
+    for (_, k), split, trace in zip(aggregated, splits, near_field_traces(aggregated, R)):
+        values = trace.radial_derivatives if which == "T1der" else trace.values
+        lhs = sobolev_norm_sq(values, 0, R)
+        M = math.sqrt(sobolev_norm_sq(values, 1, R))
+        terms = _RHS[which](split.eps1, split.eps2, split.E, k, R, M)
+        reports.append(StabilityReport(
+            lhs=lhs,
+            rhs_terms=terms,
+            satisfied=lhs <= terms.total,
+            inputs={
+                "k": k,
+                "R": R,
+                "N": split.N,
+                "eps1": split.eps1,
+                "eps2": split.eps2,
+                "E": split.E,
+                ("M2" if which == "T1der" else "M1"): M,
+                "which": which,
+            },
+        ))
+    return reports
 
 
 def corollary_soft_terms(

@@ -167,6 +167,14 @@ def test_stability_verify(capsys):
     assert "failures=0" in out
 
 
+def test_stability_verify_output_is_pinned(capsys):
+    assert main([
+        "stability-verify", "--ensemble-size", "200", "--seed", "0", "--which", "T2",
+    ]) == 0
+    assert capsys.readouterr().out == (
+        "which=T2 ensemble=200 failures=0 min_slack=0.013970159137166873\n")
+
+
 def test_stability_verify_bad_range():
     assert main([
         "stability-verify", "--ensemble-size", "5", "--kR-range", "1", "10",

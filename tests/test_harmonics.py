@@ -240,6 +240,92 @@ def test_index_rules():
         spec[1, 0] = complex(math.nan, 0.0)
 
 
+@pytest.mark.parametrize("max_degree", [*range(61), 61, 100])
+def test_packed_index_is_the_formula_and_read_only(max_degree):
+    n = np.arange(max_degree + 1)
+    degree_want = np.repeat(n, 2 * n + 1)
+    degree, order = packed_index(max_degree)
+    assert np.array_equal(degree, degree_want)
+    assert np.array_equal(order, np.arange(degree_want.size) - degree_want * (degree_want + 1))
+    for table in (degree, order):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_spectrum_degrees_are_read_only():
+    spec = CoefficientSpectrum.from_packed(np.ones(16, dtype=complex))
+    with pytest.raises(ValueError):
+        spec.degrees[3] = 0
+    assert np.array_equal(spec.degrees, CoefficientSpectrum(3).degrees)
+
+
+@pytest.mark.parametrize("length", [2, 3, 5, 8, 10, 3722])
+def test_from_packed_rejects_a_length_that_is_not_a_square(length):
+    with pytest.raises(DomainError, match="not a square"):
+        CoefficientSpectrum.from_packed(np.zeros(length, dtype=complex))
+
+
+@pytest.mark.parametrize("length", [0, 62 * 62])
+def test_from_packed_rejects_a_degree_out_of_range(length):
+    with pytest.raises(DomainError, match="max_degree must be in"):
+        CoefficientSpectrum.from_packed(np.zeros(length, dtype=complex))
+
+
+def _per_entry_error(max_degree, entries):
+    """What the per-entry constructor loop raised: the first offender's
+    error, as (type, message), or None."""
+    spec = CoefficientSpectrum(max_degree)
+    try:
+        for key, value in entries.items():
+            spec[key] = value
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 1.0, (3, 1): 2.0, (1, 0): math.nan},           # index, then value
+    {(0, 0): 1.0, (1, 0): math.nan, (3, 1): 2.0},           # value, then index
+    {(1, 0): complex(0.0, math.inf), (1, 2): 1.0},
+    {(1, -2): 1.0, (0, 0): math.nan},
+    {(-1, 0): 1.0},
+    {(1, -(2**63)): 1.0},                                    # |m| overflows int64
+    {(0, 0): 1.0, (10**30, 0): 1.0, (1, 0): math.nan},       # huge n
+    {(1, 0): math.nan, (10**30, 0): 1.0},
+    {(1, 1): 1.0, (2**63, 0): 1.0},
+    {(1, 0): "x", (5, 0): 1.0},                              # value complex() rejects
+    {(5, 0): 1.0, (1, 0): "x"},
+    {(1.5, 0): 1.0},
+])
+def test_fill_raises_what_the_first_offending_entry_raised(entries):
+    want = _per_entry_error(2, entries)
+    assert want is not None
+    with pytest.raises(want[0]) as info:
+        CoefficientSpectrum(2, entries)
+    assert str(info.value) == want[1]
+
+
+def test_fill_matches_per_entry_assignment():
+    entries = seeded_entries(12, seed=4)
+    spec = CoefficientSpectrum(12, entries)
+    want = CoefficientSpectrum(12)
+    for (n, m), value in entries.items():
+        want[n, m] = value
+    assert np.array_equal(spec.coefficients, want.coefficients)
+    # a subset, in a shuffled order, with numpy scalars among the values
+    subset = {key: np.complex128(entries[key]) for key in list(entries)[::-3]}
+    spec = CoefficientSpectrum(12, subset)
+    assert dict(spec.items()) == {key: subset.get(key, 0.0) for key, _ in want.items()}
+
+
+def test_fill_from_duplicate_records_keeps_the_last_value():
+    records = [((1, 0), 1.0), ((2, -1), 2.0), ((1, 0), 3.0 + 1.0j), ((2, -1), -0.0)]
+    spec = CoefficientSpectrum(2, dict(records))
+    assert spec[1, 0] == 3.0 + 1.0j
+    assert spec[2, -1] == 0.0 and math.copysign(1.0, spec[2, -1].real) == -1.0
+    assert np.count_nonzero(spec.coefficients) == 1
+
+
 @pytest.mark.parametrize("degrees", [(3, 3), (2, 7), (7, 2), (0, 5)])
 def test_arithmetic_matches_per_index_reference(degrees):
     la, lb = degrees

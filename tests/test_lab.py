@@ -144,6 +144,15 @@ def test_ensemble_small():
     assert min_slack > 0
 
 
+@pytest.mark.parametrize("which, expected", [
+    ("T1", (0, 0.01149756089581875)),
+    ("T2", (0, 0.011501573040772487)),
+    ("T1der", (0, 2.9816239692497066)),
+])
+def test_ensemble_verify_is_pinned(which, expected):
+    assert ensemble_verify(1000, seed=0, which=which) == expected
+
+
 def test_ensemble_validation():
     with pytest.raises(DomainError):
         ensemble_verify(0, seed=0, which="T1")

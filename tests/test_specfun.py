@@ -253,3 +253,16 @@ def test_finite_sums_are_correctly_rounded(n):
     for t in map(float, FRACTION_TS):
         s, ms = specfun._finite_sums(n, t)
         assert ((s.real, s.imag), (ms.real, ms.imag)) == fraction_sums(n, t), (n, t)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_table_rows_equal_one_column_tables(seed):
+    # an ensemble's traces read rows [:L+1] of one table over all its kR
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(2.0, 100.0, 40)
+    values, derivatives = hankel_table(60, ts)
+    for j, t in enumerate(ts):
+        L = int(rng.integers(0, 61))
+        h, hp = hankel_table(L, float(t))
+        assert np.array_equal(values[: L + 1, j], h[:, 0])
+        assert np.array_equal(derivatives[: L + 1, j], hp[:, 0])

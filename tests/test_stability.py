@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from helios.errors import CapacityError, DomainError
-from helios.harmonics import AggregateSpectrum
+from helios.field import hankel_factors, sobolev_norm_sq, split_spectrum
+from helios.harmonics import AggregateSpectrum, aggregate
+from helios.lab import random_ensemble
 from helios.stability import (
     corollary_hard_terms,
     corollary_soft_terms,
     rhs_T1,
     rhs_T1der,
     rhs_T2,
+    verify_ensemble,
     verify_theorem,
 )
 
@@ -178,3 +181,43 @@ def test_estimates_never_return_an_infinite_term(estimate):
     for args in [(1e200, 1e-3, 5.0, 4.0, 1.0, 1.0), (1e-3, 1e-3, 5.0, 4.0, 1.0, 1e307)]:
         with pytest.raises(CapacityError):
             estimate(*args)
+
+
+def one_spectrum_report(spectrum, k, R, which):
+    """A report built the one-spectrum way: its own aggregate, split and
+    one-column Hankel factors."""
+    split = split_spectrum(spectrum, k, R)
+    agg = aggregate(spectrum)
+    h, hp = hankel_factors(agg.max_degree, k, R)
+    values = 1j * k * k * agg.values * hp if which == "T1der" else 1j * k * agg.values * h
+    lhs = sobolev_norm_sq(values, 0, R)
+    M = math.sqrt(sobolev_norm_sq(values, 1, R))
+    rhs = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}[which]
+    return lhs, tuple(rhs(split.eps1, split.eps2, split.E, k, R, M)), split, M
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+def test_ensemble_reports_equal_one_spectrum_reports(which, seed):
+    members = random_ensemble(60, seed)
+    reports = verify_ensemble(members, 1.0, which)
+    assert len(reports) == len(members)
+    for (spectrum, k), report in zip(members, reports):
+        single = verify_theorem(spectrum, k, 1.0, which)
+        assert report.lhs == single.lhs
+        assert report.rhs_terms == single.rhs_terms
+        assert report.satisfied == single.satisfied
+        assert report.inputs == single.inputs
+        lhs, terms, split, M = one_spectrum_report(spectrum, k, 1.0, which)
+        assert (report.lhs, tuple(report.rhs_terms)) == (lhs, terms)
+        assert report.inputs["N"] == split.N and report.inputs["E"] == split.E
+        assert report.inputs["M2" if which == "T1der" else "M1"] == M
+
+
+def test_verify_ensemble_edge_cases():
+    assert verify_ensemble([], 1.0, "T1") == []
+    with pytest.raises(DomainError):
+        verify_ensemble([], 1.0, "T3")
+    members = random_ensemble(3, 5)
+    with pytest.raises(DomainError):
+        verify_ensemble(members + [(members[0][0], 1.0)], 1.0, "T1")  # kR < 2
