@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import hankel_table, hankel_value
-from .util import require_finite
+from .util import require_positive
 
 _SQRT2_OVER_SQRTPI = math.sqrt(2.0 / math.pi)
 
@@ -57,11 +57,6 @@ class EnvelopeReport:
     satisfied: bool
 
 
-def _check_t(t) -> None:
-    if not np.all(np.greater(t, 0.0)):
-        raise DomainError(f"argument must be positive, got t={t}")
-
-
 def _check_certified(t: float) -> None:
     if not t <= T_MAX_CERTIFIED:
         raise DomainError(f"envelope checks are certified for t <= {T_MAX_CERTIFIED:g}, got t={t}")
@@ -73,25 +68,25 @@ def low_frequency_applicable(n, t):
 
 def lemma_low_bound(n, t):
     """Low-frequency envelope for |H_n(t)| (applicable when n^2 < t)."""
-    _check_t(t)
+    require_positive(t=t)
     return _SQRT2_OVER_SQRTPI * math.e / t
 
 
 def lemma_global_bound(n, t):
     """Global envelope for |H_n(t)|."""
-    _check_t(t)
+    require_positive(t=t)
     return _SQRT2_OVER_SQRTPI / t * (1.0 + n / t) ** n
 
 
 def lemma_low_deriv_bound(n, t):
     """Low-frequency envelope for |H_n'(t)| (applicable when n^2 < t)."""
-    _check_t(t)
+    require_positive(t=t)
     return _SQRT2_OVER_SQRTPI * math.e * (np.hypot(t, 1.0) + 1.0) / t / t
 
 
 def lemma_global_deriv_bound(n, t):
     """Global envelope for |H_n'(t)|."""
-    _check_t(t)
+    require_positive(t=t)
     return _SQRT2_OVER_SQRTPI / t * (np.hypot(t, 1.0) / t + n / t) * (1.0 + n / t) ** n
 
 
@@ -136,9 +131,9 @@ def check_point(kind: str, n: int, t: float) -> EnvelopeReport:
 
 
 def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
-    require_finite(tmin=tmin, tmax=tmax)
-    if not (tmin > 0.0 and tmax >= tmin):
-        raise DomainError(f"need 0 < tmin <= tmax, got [{tmin}, {tmax}]")
+    require_positive(tmin=tmin, tmax=tmax)
+    if tmax < tmin:
+        raise DomainError(f"need tmin <= tmax, got [{tmin}, {tmax}]")
     if points < 1:
         raise DomainError("grid needs at least one point")
     _check_certified(tmax)  # before np.logspace, which may overflow past the ceiling

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -70,7 +71,7 @@ def cmd_reconstruct(args) -> int:
         "N": split.N,
         "eps1": split.eps1,
         "eps2": split.eps2,
-        "E": split.E,
+        "E": None if split.E == math.inf else split.E,  # RFC 8259 has no Infinity
         "norms": norms,
         "degrees": [
             {
@@ -85,7 +86,7 @@ def cmd_reconstruct(args) -> int:
     }
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=1, default=float)
+            json.dump(doc, fh, indent=1, default=float, allow_nan=False)
             fh.write("\n")
     for name, value in norms.items():
         print(f"{name}={io_mod.fmt(value)}")
@@ -212,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (DomainError, CapacityError, ResolutionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DomainError, CapacityError, ResolutionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

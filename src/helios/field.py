@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import hankel_table
-from .util import require_finite
+from .util import require_positive
 
 KR_MIN = 0.1
 
@@ -52,9 +52,7 @@ class SpectralSplit:
 
 
 def _check_kR(k: float, R: float) -> None:
-    require_finite(k=k, R=R)
-    if not (k > 0.0 and R > 0.0):
-        raise DomainError(f"k and R must be positive, got k={k}, R={R}")
+    require_positive(k=k, R=R)
     if k * R < KR_MIN:
         raise DomainError(f"kR = {k * R} below supported minimum {KR_MIN}")
 
@@ -111,6 +109,7 @@ def sobolev_norm_sq(values, l: int, R: float) -> float:
     per-degree trace values."""
     if l < 0:
         raise DomainError("Sobolev order l must be nonnegative")
+    require_positive(R=R)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         v = np.abs(np.asarray(values)) ** 2
         n_over_R = np.arange(len(v)) / R

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DomainError, ResolutionError
-
-MAX_DEGREE_SUPPORTED = 60
+from .specfun import N_MAX_SUPPORTED
 
 
 def sph_harm_y(n, m, theta, phi):
@@ -31,30 +31,20 @@ def sph_harm_y(n, m, theta, phi):
     return scipy_sph_harm_y(n, m, theta, phi)
 
 
-def _packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(max_degree + 1)
-    degree = np.repeat(n, 2 * n + 1)
-    order = np.arange(degree.size) - degree * (degree + 1)
-    degree.flags.writeable = order.flags.writeable = False
-    return degree, order
-
-
-_PACKED_INDEX = _packed_index(MAX_DEGREE_SUPPORTED)
+_DEGREE = np.repeat(np.arange(N_MAX_SUPPORTED + 1), 2 * np.arange(N_MAX_SUPPORTED + 1) + 1)
+_ORDER = np.arange(_DEGREE.size) - _DEGREE * (_DEGREE + 1)
+_DEGREE.flags.writeable = _ORDER.flags.writeable = False
 
 
 def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree n and order m of each slot n^2 + n + m of a packed spectrum,
-    as read-only arrays. Packed order is degree-major, so up to
-    MAX_DEGREE_SUPPORTED they are prefix views of one shared table."""
-    if not 0 <= max_degree <= MAX_DEGREE_SUPPORTED:
-        return _packed_index(max_degree)  # only a grid build asks for more
+    as read-only arrays; DomainError outside [0, N_MAX_SUPPORTED], the one
+    check of a spectrum's or a grid's degree. Packed order is degree-major,
+    so they are prefix views of one shared table."""
+    if not 0 <= max_degree <= N_MAX_SUPPORTED:
+        raise DomainError(f"max_degree must be in [0, {N_MAX_SUPPORTED}], got {max_degree}")
     size = (max_degree + 1) ** 2
-    return _PACKED_INDEX[0][:size], _PACKED_INDEX[1][:size]
-
-
-def _check_max_degree(max_degree: int) -> None:
-    if max_degree < 0 or max_degree > MAX_DEGREE_SUPPORTED:
-        raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
+    return _DEGREE[:size], _ORDER[:size]
 
 
 @dataclass(frozen=True, order=True)
@@ -65,10 +55,18 @@ class HarmonicIndex:
     order: int
 
     def __post_init__(self):
-        if self.degree < 0 or abs(self.order) > self.degree:
-            raise DomainError(
-                f"invalid harmonic index (n={self.degree}, m={self.order})"
-            )
+        _index_pair((self.degree, self.order))
+
+
+def _index_pair(key) -> tuple[int, int]:
+    """The (n, m) of a key, which must be a pair of integers with |m| <= n."""
+    try:
+        n, m = map(operator.index, key)
+    except (TypeError, ValueError):
+        raise DomainError(f"a harmonic index must be an integer pair (n, m), got {key!r}") from None
+    if n < 0 or abs(m) > n:
+        raise DomainError(f"invalid harmonic index (n={n}, m={m})")
+    return n, m
 
 
 class CoefficientSpectrum:
@@ -78,10 +76,9 @@ class CoefficientSpectrum:
     spectrum of the same degree)."""
 
     def __init__(self, max_degree: int, entries: dict[tuple[int, int], complex] | None = None):
-        _check_max_degree(max_degree)
-        self.max_degree = max_degree
-        self.coefficients = np.zeros((max_degree + 1) ** 2, dtype=complex)
         self.degrees = packed_index(max_degree)[0]
+        self.max_degree = max_degree
+        self.coefficients = np.zeros(len(self.degrees), dtype=complex)
         if entries:
             self._fill(entries)
 
@@ -110,31 +107,35 @@ class CoefficientSpectrum:
 
     @classmethod
     def from_packed(cls, coefficients: np.ndarray) -> "CoefficientSpectrum":
-        """Spectrum holding a packed array of length (L+1)^2 (not copied)."""
+        """Spectrum holding a 1-D complex packed array of length (L+1)^2
+        (not copied)."""
+        if not (isinstance(coefficients, np.ndarray) and coefficients.ndim == 1
+                and coefficients.dtype == complex):
+            raise DomainError("a packed spectrum must be a 1-D complex array")
         max_degree = math.isqrt(len(coefficients)) - 1
         if len(coefficients) != (max_degree + 1) ** 2:
             raise DomainError(
                 f"packed spectrum length {len(coefficients)} is not a square (L+1)^2")
-        _check_max_degree(max_degree)
         out = cls.__new__(cls)
+        out.degrees = packed_index(max_degree)[0]
         out.max_degree = max_degree
         out.coefficients = coefficients
-        out.degrees = packed_index(max_degree)[0]
         return out
 
     def __getitem__(self, key: tuple[int, int]) -> complex:
-        n, m = key
-        if n < 0 or abs(m) > n:
-            raise DomainError(f"invalid harmonic index (n={n}, m={m})")
+        n, m = _index_pair(key)
         if n > self.max_degree:
             return 0.0 + 0.0j
         return complex(self.coefficients[n * n + n + m])
 
     def __setitem__(self, key: tuple[int, int], value: complex) -> None:
-        n, m = key
-        if not (0 <= n <= self.max_degree and abs(m) <= n):
+        n, m = _index_pair(key)
+        if n > self.max_degree:
             raise DomainError(f"index (n={n}, m={m}) outside spectrum of degree {self.max_degree}")
-        value = complex(value)
+        try:
+            value = complex(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"coefficient (n={n}, m={m}) is not a number: {exc}") from None
         if not cmath.isfinite(value):
             raise DomainError(f"coefficient (n={n}, m={m}) must be finite, got {value}")
         self.coefficients[n * n + n + m] = value
@@ -214,8 +215,7 @@ class SphereGrid:
 
     @classmethod
     def build(cls, design_degree: int) -> "SphereGrid":
-        if design_degree < 0:
-            raise DomainError("design_degree must be nonnegative")
+        degree, order = packed_index(design_degree)
         n_theta = design_degree + 1
         n_phi = 2 * design_degree + 1
         x, w = np.polynomial.legendre.leggauss(n_theta)
@@ -223,7 +223,6 @@ class SphereGrid:
         phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
         theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
         weights = np.broadcast_to((w * (2.0 * np.pi / n_phi))[:, None], theta.shape)
-        degree, order = packed_index(design_degree)
         table = sph_harm_y(degree[:, None], order[:, None], theta_1d, 0.0).real
         return cls(
             design_degree=design_degree,

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from .harmonics import (MAX_DEGREE_SUPPORTED, CoefficientSpectrum, aggregate, conjugate_mirror,
-                        packed_index)
+from .harmonics import CoefficientSpectrum, aggregate, conjugate_mirror, packed_index
 from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_inverse
-from .stability import corollary_hard_terms, corollary_soft_terms, verify_ensemble
-from .util import require_finite
+from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
+                        verify_ensemble)
+from .util import require_finite, require_positive
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,9 @@ class DecayProfile:
 
 
 def _validate_profile(profile: DecayProfile) -> None:
-    if profile.max_degree < 0 or profile.max_degree > MAX_DEGREE_SUPPORTED:
-        raise DomainError(f"max_degree must be in [0, {MAX_DEGREE_SUPPORTED}]")
-    require_finite(rate=profile.rate, amplitude=profile.amplitude)
-    if profile.rate <= 0:
-        raise DomainError("decay rate must be positive")
+    # max_degree is checked by packed_index, which both builders call before they draw
+    require_positive(rate=profile.rate)
+    require_finite(amplitude=profile.amplitude)
     if profile.seed < 0:
         raise DomainError(f"profile seed must be nonnegative, got {profile.seed}")
 
@@ -153,10 +151,8 @@ def ksweep(
         raise DomainError("need at least one noise replicate")
     if master_seed < 0:
         raise DomainError(f"master seed must be nonnegative, got {master_seed}")
-    for k in k_list:
-        if k * R < 2.0:
-            raise DomainError(f"sweep requires kR >= 2, got k={k}, R={R}")
 
+    # ascending k: a kR below KR_MIN_ESTIMATES fails the first estimate called
     rows = []
     for k_index in sorted(range(len(k_list)), key=lambda i: k_list[i]):
         k = float(k_list[k_index])
@@ -201,8 +197,8 @@ def random_ensemble(
         raise DomainError("ensemble size must be at least 1")
     lo, hi = kr_range
     require_finite(kr_lo=lo, kr_hi=hi)
-    if lo < 2.0 or hi < lo:
-        raise DomainError(f"kR range must satisfy 2 <= lo <= hi, got [{lo}, {hi}]")
+    if lo < KR_MIN_ESTIMATES or hi < lo:
+        raise DomainError(f"kR range must satisfy {KR_MIN_ESTIMATES:g} <= lo <= hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(size):

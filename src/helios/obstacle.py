@@ -22,7 +22,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, hankel_factors
 from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, synthesize
-from .util import require_finite
+from .util import require_positive
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class BoundaryPerturbation:
 
 def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     """Closed-form boundary data of the incident spherical wave."""
-    require_finite(k=k, R=R)
-    if not (k > 0 and R > 0):
-        raise DomainError("k and R must be positive")
+    require_positive(k=k, R=R)
     if kind == "soft":
         value = 1.0 + 0.0j
         derivative = (1j * k * R - 1.0) / R

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .util import require_finite
+from .util import require_positive
 
 N_MAX_SUPPORTED = 60
 T_MIN_ORACLE = 0.1
+T_MAX_ORACLE = 1e3
 CAPACITY_LIMIT = 1e300
 
 _PREF = math.sqrt(2.0 / math.pi)
@@ -64,11 +65,7 @@ def _check_args(n: int, t) -> None:
         raise DomainError(f"order must be nonnegative, got n={n}")
     if n > N_MAX_SUPPORTED:
         raise DomainError(f"order n={n} exceeds supported maximum {N_MAX_SUPPORTED}")
-    require_finite(t=t)
-    positive = np.greater(t, 0.0)
-    if not np.all(positive):
-        bad = np.asarray(t).flat[np.argmin(positive)]
-        raise DomainError(f"argument must be positive, got t={bad}")
+    require_positive(t=t)
 
 
 def _representable(z: complex, n: int, t: float) -> complex:
@@ -216,9 +213,9 @@ def _spherical_j(n: int, t: float) -> float:
 
 def hankel_magnitude_oracle(n: int, t: float) -> float:
     """|hankel_paper(n, t)| through an independent recurrence path:
-    sqrt(2/pi) * hypot(j_n(t), y_n(t))."""
-    if n < 0 or n > N_MAX_SUPPORTED:
-        raise DomainError(f"oracle supports 0 <= n <= {N_MAX_SUPPORTED}, got {n}")
-    if not t >= T_MIN_ORACLE:
-        raise DomainError(f"oracle supports t >= {T_MIN_ORACLE}, got {t}")
+    sqrt(2/pi) * hypot(j_n(t), y_n(t)), for T_MIN_ORACLE <= t <= T_MAX_ORACLE:
+    beyond, its Miller loop grows with t and drifts from the finite sum."""
+    _check_args(n, t)
+    if not T_MIN_ORACLE <= t <= T_MAX_ORACLE:
+        raise DomainError(f"oracle supports {T_MIN_ORACLE} <= t <= {T_MAX_ORACLE:g}, got t={t}")
     return _PREF * math.hypot(_spherical_j(n, t), _spherical_y(n, t))

@@ -26,7 +26,9 @@ from typing import NamedTuple
 from .errors import CapacityError, DomainError
 from .field import near_field_traces, sobolev_norm_sq, split_spectrum
 from .harmonics import aggregate
-from .util import require_finite
+from .util import require_finite, require_positive
+
+KR_MIN_ESTIMATES = 2.0
 
 
 class RhsTerms(NamedTuple):
@@ -58,13 +60,14 @@ class StabilityReport:
 
 
 def _check_common(eps1: float, eps2: float, E: float, k: float, R: float, M: float) -> None:
-    require_finite(eps1=eps1, eps2=eps2, k=k, R=R, M=M)
-    if eps1 < 0 or eps2 < 0:
-        raise DomainError("eps1 and eps2 must be nonnegative")
-    if not (k > 0 and R > 0):
-        raise DomainError("k and R must be positive")
-    if k * R < 2.0:
-        raise DomainError(f"estimates require kR >= 2, got kR = {k * R}")
+    """The hypotheses every estimate shares; a corollary passes its
+    substituted a-priori norm as M, so they cover the corollaries too."""
+    require_positive(k=k, R=R)
+    require_finite(eps1=eps1, eps2=eps2, M=M)
+    if eps1 < 0 or eps2 < 0 or M < 0:
+        raise DomainError(f"eps1, eps2 and M must be nonnegative, got {eps1}, {eps2}, {M}")
+    if k * R < KR_MIN_ESTIMATES:
+        raise DomainError(f"estimates require kR >= {KR_MIN_ESTIMATES:g}, got kR = {k * R}")
     if not E + k > 0:  # also rejects a NaN E; E = +inf is the eps2 = 0 limit
         raise DomainError("need E + k > 0")
 
@@ -182,10 +185,9 @@ def corollary_soft_terms(
     scaled by R^2/(k^2 R^2 + 1)."""
     if variant not in ("T1", "T2"):
         raise DomainError(f"unknown variant {variant!r} (expected T1 or T2)")
+    require_positive(k=k, R=R)  # before the division by R
     kr2p1 = k * k * R * R + 1.0
-    # the estimate itself rejects R <= 0, so only the division waits for it
-    M1 = math.sqrt(kr2p1) / R * d_norm1 if R > 0 else d_norm1
-    terms = _RHS[variant](eps1, eps2, E, k, R, M1)
+    terms = _RHS[variant](eps1, eps2, E, k, R, math.sqrt(kr2p1) / R * d_norm1)
     return RhsTerms(*(R * R / kr2p1 * term for term in terms))
 
 

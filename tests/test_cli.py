@@ -155,6 +155,20 @@ def test_reconstruct(tmp_path, capsys):
     assert len(doc["degrees"]) == 5
 
 
+def test_reconstruct_writes_strict_json_when_eps2_is_zero(tmp_path):
+    # all energy at degrees <= N: eps2 = 0 and E = +inf, which JSON cannot hold
+    path = write_json(tmp_path / "a.json",
+                      '{"k": 4, "R": 1, "coefficients": [{"n": 0, "m": 0, "re": 1, "im": 0}]}')
+    out_path = tmp_path / "trace.json"
+    assert main(["reconstruct", path, "--out", str(out_path)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(out_path.read_text(), parse_constant=reject)
+    assert doc["eps2"] == 0.0 and doc["E"] is None
+
+
 def test_reconstruct_missing_file():
     assert main(["reconstruct", "/nonexistent/spec.json"]) == 2
 

@@ -66,6 +66,12 @@ def test_sobolev_single_degree():
     )
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+def test_sobolev_norm_rejects_a_radius_that_is_not_positive_and_finite(R):
+    with pytest.raises(DomainError, match="^R must be"):
+        sobolev_norm_sq(np.ones(3), 1, R)
+
+
 def test_sobolev_order_monotone():
     rng = np.random.default_rng(3)
     values = rng.standard_normal(20) + 1j * rng.standard_normal(20)

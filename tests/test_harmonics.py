@@ -240,7 +240,7 @@ def test_index_rules():
         spec[1, 0] = complex(math.nan, 0.0)
 
 
-@pytest.mark.parametrize("max_degree", [*range(61), 61, 100])
+@pytest.mark.parametrize("max_degree", range(61))
 def test_packed_index_is_the_formula_and_read_only(max_degree):
     n = np.arange(max_degree + 1)
     degree_want = np.repeat(n, 2 * n + 1)
@@ -250,6 +250,41 @@ def test_packed_index_is_the_formula_and_read_only(max_degree):
     for table in (degree, order):
         with pytest.raises(ValueError):
             table[0] = 1
+
+
+@pytest.mark.parametrize("max_degree", [-1, 61, 100])
+def test_packed_index_rejects_a_degree_out_of_range(max_degree):
+    with pytest.raises(DomainError, match=r"max_degree must be in \[0, 60\]"):
+        packed_index(max_degree)
+
+
+@pytest.mark.parametrize("design_degree", [-1, 61])
+def test_grid_build_rejects_a_degree_out_of_range(design_degree):
+    with pytest.raises(DomainError, match="max_degree must be in"):
+        SphereGrid.build(design_degree)
+
+
+def _set(key, value):
+    CoefficientSpectrum(2)[key] = value
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CoefficientSpectrum.from_packed(np.ones((4, 4), dtype=complex)),
+    lambda: CoefficientSpectrum.from_packed(np.ones(4)),
+    lambda: CoefficientSpectrum.from_packed([0j, 0j, 0j, 0j]),
+    lambda: CoefficientSpectrum(2)[1.5, 0],
+    lambda: CoefficientSpectrum(2)[1],
+    lambda: CoefficientSpectrum(2)[1, 0, 0],
+    lambda: CoefficientSpectrum(2, {(1.5, 0): 1.0}),
+    lambda: CoefficientSpectrum(2, {(1, 0): None}),
+    lambda: CoefficientSpectrum(2, {(1, 0): "x"}),
+    lambda: _set((1, 0), 10**400),
+    lambda: HarmonicIndex(1.5, 0),
+], ids=["2-d", "float", "list", "float-key", "int-key", "triple-key", "fill-float-key",
+        "none", "string", "huge-int", "harmonic-index"])
+def test_malformed_spectrum_input_raises_domain_error(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_spectrum_degrees_are_read_only():

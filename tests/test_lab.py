@@ -33,6 +33,10 @@ def test_profile_validation():
         make_spectrum(DecayProfile("exponential", -1.0, 3, seed=0))
     with pytest.raises(DomainError):
         make_spectrum(DecayProfile("exponential", 1.0, 99, seed=0))
+    for max_degree in (-1, 61):  # packed_index checks the degree for both builders
+        for make in (make_spectrum, make_real_perturbation):
+            with pytest.raises(DomainError, match="max_degree must be in"):
+                make(DecayProfile("exponential", 1.0, max_degree, seed=0))
     with pytest.raises(DomainError):
         DecayProfile("geometric", 1.0, 3, seed=0).degree_magnitudes()
 
@@ -116,6 +120,10 @@ def test_sweep_validation():
         ksweep(d, 1.0, [4.0], 1e-3, 0)
     with pytest.raises(DomainError):
         ksweep(d, 1.0, [1.0], 1e-3, 5)  # kR < 2
+    with pytest.raises(DomainError, match="kR >= 2"):
+        ksweep(d, 1.0, [8.0, 1.5, 4.0], 1e-3, 2)  # not first in the list
+    with pytest.raises(DomainError, match="kR"):
+        ksweep(d, 1.0, [0.05, 4.0], 1e-3, 2)  # below the Hankel table's floor too
     with pytest.raises(DomainError):
         ksweep(d, 1.0, [4.0], 1e-3, 5, kind="mixed")
 

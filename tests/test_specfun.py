@@ -11,6 +11,7 @@ from helios import specfun
 from helios.errors import CapacityError, DomainError
 from helios.specfun import (
     N_MAX_SUPPORTED,
+    T_MAX_ORACLE,
     hankel_magnitude_oracle,
     hankel_paper,
     hankel_paper_deriv,
@@ -121,6 +122,16 @@ def test_domain_errors():
         hankel_magnitude_oracle(0, 0.05)
     with pytest.raises(DomainError):
         hankel_magnitude_oracle(61, 1.0)
+    # the Miller loop starts near t, so at 1e300 the oracle never returned
+    for t in (math.inf, math.nan, 1e300, math.nextafter(T_MAX_ORACLE, math.inf)):
+        with pytest.raises(DomainError):
+            hankel_magnitude_oracle(3, t)
+
+
+def test_oracle_matches_the_finite_sum_at_the_top_of_its_range():
+    for n in range(N_MAX_SUPPORTED + 1):
+        a = abs(hankel_paper(n, T_MAX_ORACLE))
+        assert abs(hankel_magnitude_oracle(n, T_MAX_ORACLE) - a) / a <= 1e-10
 
 
 def test_capacity_error_reported():

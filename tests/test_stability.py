@@ -221,3 +221,14 @@ def test_verify_ensemble_edge_cases():
     members = random_ensemble(3, 5)
     with pytest.raises(DomainError):
         verify_ensemble(members + [(members[0][0], 1.0)], 1.0, "T1")  # kR < 2
+
+
+@pytest.mark.parametrize("estimate", [
+    *ESTIMATES, lambda *args: corollary_soft_terms(*args, variant="T2"),
+], ids=[fn.__name__ for fn in ESTIMATES] + ["corollary_soft_terms_T2"])
+def test_rejects_a_negative_apriori_norm(estimate):
+    # M1, M2 and |d|_1 are norms; a negative one flipped the sign of the
+    # Hoelder term of T2 instead of failing
+    with pytest.raises(DomainError, match="must be nonnegative"):
+        estimate(EPS, EPS, E_WORKED, 4.0, 1.0, -1.0)
+    assert min(estimate(EPS, EPS, E_WORKED, 4.0, 1.0, 0.0)) >= 0.0  # M = 0 stays valid
