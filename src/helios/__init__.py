@@ -30,11 +30,9 @@ from .field import (
 from .harmonics import (
     AggregateSpectrum,
     CoefficientSpectrum,
-    HarmonicIndex,
     SphereGrid,
     aggregate,
     analyze,
-    evaluate_harmonic,
     synthesize,
 )
 from .lab import DecayProfile, SweepRow, ksweep, make_real_perturbation, make_spectrum, perturb
@@ -50,8 +48,6 @@ from .obstacle import (
 from .specfun import (
     HankelValue,
     hankel_magnitude_oracle,
-    hankel_paper,
-    hankel_paper_deriv,
     hankel_table,
     hankel_value,
 )

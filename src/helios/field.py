@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate, synthesize
-from .specfun import hankel_table
+from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
 from .util import require_positive
 
 KR_MIN = 0.1
@@ -140,8 +140,8 @@ def split_spectrum(spectrum, k: float, R: float) -> SpectralSplit:
 
 def low_pass(obj, N: int):
     """Zero all degrees above N; returns an object of the same type."""
-    if N < 0:
-        raise DomainError("cutoff N must be nonnegative")
+    # a cutoff above the degree cap is valid: it keeps every degree
+    require_order(min(N, N_MAX_SUPPORTED), "cutoff N")
     if isinstance(obj, CoefficientSpectrum):
         coefficients = obj.coefficients.copy()
         coefficients[(N + 1) ** 2 :] = 0.0  # the slots of degrees above N

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, DomainError, ResolutionError
-from .specfun import N_MAX_SUPPORTED
+from .specfun import N_MAX_SUPPORTED, require_order
 
 
 def sph_harm_y(n, m, theta, phi):
@@ -38,24 +38,13 @@ _DEGREE.flags.writeable = _ORDER.flags.writeable = False
 
 def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Degree n and order m of each slot n^2 + n + m of a packed spectrum,
-    as read-only arrays; DomainError outside [0, N_MAX_SUPPORTED], the one
-    check of a spectrum's or a grid's degree. Packed order is degree-major,
-    so they are prefix views of one shared table."""
-    if not 0 <= max_degree <= N_MAX_SUPPORTED:
-        raise DomainError(f"max_degree must be in [0, {N_MAX_SUPPORTED}], got {max_degree}")
+    as read-only arrays; DomainError unless max_degree is an integer in
+    [0, N_MAX_SUPPORTED], the one check of a spectrum's or a grid's degree.
+    Packed order is degree-major, so they are prefix views of one shared
+    table."""
+    require_order(max_degree, "max_degree")
     size = (max_degree + 1) ** 2
     return _DEGREE[:size], _ORDER[:size]
-
-
-@dataclass(frozen=True, order=True)
-class HarmonicIndex:
-    """Degree/order pair (n, m) with |m| <= n."""
-
-    degree: int
-    order: int
-
-    def __post_init__(self):
-        _index_pair((self.degree, self.order))
 
 
 def _index_pair(key) -> tuple[int, int]:
@@ -238,24 +227,6 @@ class SphereGrid:
 
     def integrate(self, values: np.ndarray) -> complex:
         return complex(np.dot(self.weights, values))
-
-
-def _direction_angles(direction) -> tuple[float, float]:
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (3,):
-        raise DomainError("direction must be a 3-vector")
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"direction must be a unit vector, |v| = {norm}")
-    theta = math.acos(min(1.0, max(-1.0, v[2])))
-    phi = math.atan2(v[1], v[0])
-    return theta, phi
-
-
-def evaluate_harmonic(index: HarmonicIndex, direction) -> complex:
-    """Orthonormal Y_n^m at a unit direction (Condon-Shortley phase)."""
-    theta, phi = _direction_angles(direction)
-    return complex(sph_harm_y(index.degree, index.order, theta, phi))
 
 
 def _orders(max_degree: int, grid: SphereGrid) -> np.ndarray:

@@ -11,21 +11,29 @@ together with the argument derivative
 
 a vectorized table of H_n and H_n' over many orders and arguments built
 from the upward three-term recurrence, and an independent magnitude
-oracle built from Bessel recurrences (upward for y_n, normalized downward
-Miller scheme for j_n).
+oracle from the closed form of DLMF section 10.49,
+
+    t^2 (j_n(t)^2 + y_n(t)^2) = sum_{k=0..n} W_{n,k} (2t)^(2k-2n),
+    W_{n,k} = (2n-k)! (2n-2k)! / (k! ((n-k)!)^2),
+
+a sum of positive terms that cannot cancel, exact for every t > 0.
 
 The finite sum is exact (no truncation). `t` is a binary float, so
 t = p/q exactly, and every term times (2p)^n is a Gaussian integer: the
 sum is formed exactly in Python integers and each real and imaginary part
-is rounded once, correctly. It is the oracle behind the scalar API
-(`hankel_paper`, `hankel_paper_deriv`, `hankel_value`). `hankel_table` is
-the fast path for everything that needs many values; the tests hold it to
-the finite sum within 1e-13 relative. Magnitudes agree with the classical
-spherical Hankel function times sqrt(2/pi); the global phase is the
-standard one, so the identity H_0' = -H_1 holds exactly.
+is rounded once, correctly. `hankel_value` is the one scalar entry point:
+value and derivative from one pass. `hankel_table` is the fast path for
+everything that needs many values; the tests hold it to the finite sum
+within 1e-13 relative. The oracle shares no code with the finite sum
+beyond the argument check, so comparing the two compares two identities.
+Magnitudes agree with the classical spherical Hankel function times
+sqrt(2/pi); the global phase is the standard one, so the identity
+H_0' = -H_1 holds exactly.
 
-Arguments outside the domain raise DomainError; a sum, value or
-derivative that is not representable in double precision raises
+An order is an integer in [0, N_MAX_SUPPORTED] (`require_order`, the one
+check of an order or a degree in helios) and an argument a positive finite
+float; anything else raises DomainError. A sum, value, derivative or
+magnitude that is not representable in double precision raises
 CapacityError. The table raises the same class as the scalar API would
 for some order and argument it covers.
 """
@@ -34,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +51,6 @@ from .errors import CapacityError, DomainError
 from .util import require_positive
 
 N_MAX_SUPPORTED = 60
-T_MIN_ORACLE = 0.1
-T_MAX_ORACLE = 1e3
 CAPACITY_LIMIT = 1e300
 
 _PREF = math.sqrt(2.0 / math.pi)
@@ -59,12 +66,22 @@ class HankelValue:
     derivative: complex
 
 
+def require_order(n, what: str = "order") -> None:
+    """DomainError unless n is an integer (operator.index accepts it, so
+    numpy integers and bool do) in [0, N_MAX_SUPPORTED]."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+    if n < 0:
+        raise DomainError(f"{what} must be nonnegative, got {n}")
+    if n > N_MAX_SUPPORTED:
+        raise DomainError(f"{what} {n} exceeds supported maximum {N_MAX_SUPPORTED}")
+
+
 def _check_args(n: int, t) -> None:
     """Validate an order and an argument (a float or an array of them)."""
-    if n < 0:
-        raise DomainError(f"order must be nonnegative, got n={n}")
-    if n > N_MAX_SUPPORTED:
-        raise DomainError(f"order n={n} exceeds supported maximum {N_MAX_SUPPORTED}")
+    require_order(n)
     require_positive(t=t)
 
 
@@ -116,21 +133,8 @@ def _derivative(n: int, t: float, s: complex, ms: complex) -> complex:
     return _representable(_phase(n, t) / t * ((1j * t - 1.0) * s - ms) / t, n, t)
 
 
-def hankel_paper(n: int, t: float) -> complex:
-    """Rescaled spherical Hankel function sqrt(2/pi)*h_n^(1)(t)."""
-    _check_args(n, t)
-    s, _ = _finite_sums(n, t)
-    return _value(n, t, s)
-
-
-def hankel_paper_deriv(n: int, t: float) -> complex:
-    """d/dt of hankel_paper(n, .) at t, from the differentiated finite sum."""
-    _check_args(n, t)
-    return _derivative(n, t, *_finite_sums(n, t))
-
-
 def hankel_value(n: int, t: float) -> HankelValue:
-    """Bundle value and derivative (single finite-sum pass)."""
+    """H_n(t) and H_n'(t) from one finite-sum pass: the scalar entry point."""
     _check_args(n, t)
     s, ms = _finite_sums(n, t)
     return HankelValue(
@@ -177,45 +181,26 @@ def hankel_table(nmax: int, t_array) -> tuple[np.ndarray, np.ndarray]:
     return values, derivatives
 
 
-def _spherical_y(n: int, t: float) -> float:
-    """y_n(t) by upward recurrence (stable for y)."""
-    y0 = -math.cos(t) / t
-    if n == 0:
-        return y0
-    y1 = -math.cos(t) / (t * t) - math.sin(t) / t
-    for m in range(1, n):
-        y0, y1 = y1, (2 * m + 1) / t * y1 - y0
-    return y1
-
-
-def _spherical_j(n: int, t: float) -> float:
-    """j_n(t) by downward Miller recurrence, normalized with
-    sum_m (2m+1) j_m(t)^2 = 1."""
-    start = int(max(n, t)) + 60
-    jp = 0.0  # j_{m+1}
-    jc = 1e-30  # j_m, arbitrary seed
-    norm = (2 * start + 1) * jc * jc
-    captured = jc if n == start else 0.0
-    for m in range(start, 0, -1):
-        jm = (2 * m + 1) / t * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > 1e140:
-            scale = 1e-140
-            jp *= scale
-            jc *= scale
-            norm *= scale * scale
-            captured *= scale
-        norm += (2 * (m - 1) + 1) * jc * jc
-        if m - 1 == n:
-            captured = jc
-    return captured / math.sqrt(norm)
-
-
 def hankel_magnitude_oracle(n: int, t: float) -> float:
-    """|hankel_paper(n, t)| through an independent recurrence path:
-    sqrt(2/pi) * hypot(j_n(t), y_n(t)), for T_MIN_ORACLE <= t <= T_MAX_ORACLE:
-    beyond, its Miller loop grows with t and drifts from the finite sum."""
+    """|H_n(t)| from DLMF section 10.49, independently of the finite sum.
+
+    With t = p/q the sum is N / (2p)^(2n) for the integer
+    N = sum_k W_{n,k} q^(2n-2k) (2p)^(2k), formed by Horner's rule in q^2,
+    so |H_n(t)| = sqrt(2/pi) * sqrt(N) q / ((2p)^n p): one isqrt (of N
+    scaled by 2^128, so its truncation is below 2^-64 relative) and one
+    correctly rounded integer division. The weights start at
+    W_{n,0} = ((2n)!/n!)^2 and each step divides exactly. Any finite t > 0
+    is accepted; a magnitude beyond the float range raises CapacityError.
+    """
     _check_args(n, t)
-    if not T_MIN_ORACLE <= t <= T_MAX_ORACLE:
-        raise DomainError(f"oracle supports {T_MIN_ORACLE} <= t <= {T_MAX_ORACLE:g}, got t={t}")
-    return _PREF * math.hypot(_spherical_j(n, t), _spherical_y(n, t))
+    p, q = t.as_integer_ratio()
+    w = (math.factorial(2 * n) // math.factorial(n)) ** 2
+    total, power = w, 1  # power = (2p)^(2k)
+    for k in range(n):
+        w = w * (n - k) ** 2 // ((k + 1) * (2 * n - k) * (2 * n - 2 * k) * (2 * n - 2 * k - 1))
+        power *= 4 * p * p
+        total = total * q * q + w * power
+    try:
+        return _PREF * (math.isqrt(total << 128) * q / ((2 * p) ** n * p << 64))
+    except OverflowError:
+        raise CapacityError(f"|H_{n}({t})| exceeds the floating range") from None

@@ -21,7 +21,7 @@ from helios.bounds import (
     violations,
 )
 from helios.errors import DomainError
-from helios.specfun import hankel_paper, hankel_paper_deriv, hankel_table
+from helios.specfun import hankel_table, hankel_value
 
 # closed forms evaluated with mpmath at 40 digits, frozen
 LOW_BOUND_T2 = 1.0844375514192275          # sqrt(2)*e/(sqrt(pi)*2)
@@ -39,28 +39,28 @@ def test_low_bound_applicability():
 
 
 def test_low_bound_dominates_hankel():
-    assert abs(hankel_paper(1, 2.0)) < LOW_BOUND_T2
+    assert abs(hankel_value(1, 2.0).value) < LOW_BOUND_T2
 
 
 def test_global_bound_tight_at_n0():
     for t in (0.2, 1.0, 5.0, 40.0):
-        assert lemma_global_bound(0, t) == pytest.approx(abs(hankel_paper(0, t)), rel=1e-14)
+        assert lemma_global_bound(0, t) == pytest.approx(abs(hankel_value(0, t).value), rel=1e-14)
 
 
 def test_global_bound_n2_t1():
     assert lemma_global_bound(2, 1.0) == pytest.approx(math.sqrt(2 / math.pi) * 9.0, rel=1e-14)
-    assert abs(hankel_paper(2, 1.0)) < lemma_global_bound(2, 1.0)
+    assert abs(hankel_value(2, 1.0).value) < lemma_global_bound(2, 1.0)
 
 
 def test_global_bound_small_t_large_n():
     bound = lemma_global_bound(10, 0.5)
     assert math.isfinite(bound)
-    assert abs(hankel_paper(10, 0.5)) < bound
+    assert abs(hankel_value(10, 0.5).value) < bound
 
 
 def test_low_deriv_bound_value():
     assert lemma_low_deriv_bound(0, 2.0) == pytest.approx(LOW_DERIV_BOUND_T2, rel=1e-14)
-    assert abs(hankel_paper_deriv(0, 2.0)) < LOW_DERIV_BOUND_T2
+    assert abs(hankel_value(0, 2.0).derivative) < LOW_DERIV_BOUND_T2
 
 
 def test_low_deriv_bound_vanishes_at_infinity():
@@ -73,12 +73,12 @@ def test_low_deriv_bound_vanishes_at_infinity():
 def test_global_deriv_tight_at_n0():
     expected = math.sqrt(2 / math.pi) / 2.0 * (math.sqrt(5.0) / 2.0)
     assert lemma_global_deriv_bound(0, 2.0) == pytest.approx(expected, rel=1e-14)
-    assert abs(hankel_paper_deriv(0, 2.0)) == pytest.approx(expected, rel=1e-14)
+    assert abs(hankel_value(0, 2.0).derivative) == pytest.approx(expected, rel=1e-14)
 
 
 def test_global_deriv_n2_t1():
     assert lemma_global_deriv_bound(2, 1.0) == pytest.approx(GLOBAL_DERIV_N2_T1, rel=1e-14)
-    assert abs(hankel_paper_deriv(2, 1.0)) < GLOBAL_DERIV_N2_T1
+    assert abs(hankel_value(2, 1.0).derivative) < GLOBAL_DERIV_N2_T1
 
 
 def test_global_deriv_monotone_in_n():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,38 +17,40 @@ from helios.errors import DomainError, ResolutionError
 from helios.harmonics import (
     AggregateSpectrum,
     CoefficientSpectrum,
-    HarmonicIndex,
     SphereGrid,
     aggregate,
     analyze,
-    evaluate_harmonic,
     packed_index,
     synthesize,
 )
 
 
 def test_index_validation():
-    HarmonicIndex(3, -3)
+    spec = CoefficientSpectrum(3)
+    spec[3, -3] = 1.0
+    assert spec[3, -3] == 1.0
     with pytest.raises(DomainError):
-        HarmonicIndex(2, 3)
+        spec[2, 3]
     with pytest.raises(DomainError):
-        HarmonicIndex(-1, 0)
+        spec[-1, 0]
 
 
-def test_constant_harmonic():
-    value = evaluate_harmonic(HarmonicIndex(0, 0), np.array([0.3, -0.4, math.sqrt(0.75)]))
-    assert value == pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-14)
+def test_constant_harmonic(grid20):
+    # Y_0^0 = 1/sqrt(4 pi), evaluated directly and in the grid table
+    expected = 1.0 / math.sqrt(4 * math.pi)
+    assert np.allclose(grid20.harmonic(0, 0), expected, rtol=1e-14, atol=0.0)
+    assert np.allclose(grid20.table[0], expected, rtol=1e-14, atol=0.0)
 
 
-def test_degree_one_at_pole():
-    value = evaluate_harmonic(HarmonicIndex(1, 0), np.array([0.0, 0.0, 1.0]))
-    assert value.real == pytest.approx(math.sqrt(3.0 / (4 * math.pi)), rel=1e-13)
-    assert value.imag == pytest.approx(0.0, abs=1e-14)
-
-
-def test_non_unit_direction_rejected():
-    with pytest.raises(DomainError):
-        evaluate_harmonic(HarmonicIndex(1, 0), np.array([0.0, 0.0, 1.1]))
+def test_degree_one_at_pole(grid20):
+    # Y_1^0 = sqrt(3/(4 pi)) cos(theta), real (slot 1^2 + 1 + 0 = 2 of the table)
+    value = grid20.harmonic(1, 0)
+    expected = math.sqrt(3.0 / (4 * math.pi)) * np.cos(grid20.theta)
+    assert np.allclose(value.real, expected, rtol=1e-13, atol=1e-14)
+    assert np.allclose(value.imag, 0.0, rtol=0.0, atol=1e-14)
+    theta_1d = grid20.theta[:: 2 * grid20.design_degree + 1]
+    expected = math.sqrt(3.0 / (4 * math.pi)) * np.cos(theta_1d)
+    assert np.allclose(grid20.table[2], expected, rtol=1e-13, atol=1e-14)
 
 
 def test_grid_weights_sum(grid20):
@@ -252,15 +255,20 @@ def test_packed_index_is_the_formula_and_read_only(max_degree):
             table[0] = 1
 
 
+DEGREE_OUT_OF_RANGE = r"^max_degree (must be nonnegative, got -1|\d+ exceeds supported maximum 60)$"
+
+
 @pytest.mark.parametrize("max_degree", [-1, 61, 100])
 def test_packed_index_rejects_a_degree_out_of_range(max_degree):
-    with pytest.raises(DomainError, match=r"max_degree must be in \[0, 60\]"):
+    expected = ("max_degree must be nonnegative, got -1" if max_degree < 0
+                else f"max_degree {max_degree} exceeds supported maximum 60")
+    with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
         packed_index(max_degree)
 
 
 @pytest.mark.parametrize("design_degree", [-1, 61])
 def test_grid_build_rejects_a_degree_out_of_range(design_degree):
-    with pytest.raises(DomainError, match="max_degree must be in"):
+    with pytest.raises(DomainError, match=DEGREE_OUT_OF_RANGE):
         SphereGrid.build(design_degree)
 
 
@@ -279,9 +287,8 @@ def _set(key, value):
     lambda: CoefficientSpectrum(2, {(1, 0): None}),
     lambda: CoefficientSpectrum(2, {(1, 0): "x"}),
     lambda: _set((1, 0), 10**400),
-    lambda: HarmonicIndex(1.5, 0),
 ], ids=["2-d", "float", "list", "float-key", "int-key", "triple-key", "fill-float-key",
-        "none", "string", "huge-int", "harmonic-index"])
+        "none", "string", "huge-int"])
 def test_malformed_spectrum_input_raises_domain_error(make):
     with pytest.raises(DomainError):
         make()
@@ -302,7 +309,7 @@ def test_from_packed_rejects_a_length_that_is_not_a_square(length):
 
 @pytest.mark.parametrize("length", [0, 62 * 62])
 def test_from_packed_rejects_a_degree_out_of_range(length):
-    with pytest.raises(DomainError, match="max_degree must be in"):
+    with pytest.raises(DomainError, match=DEGREE_OUT_OF_RANGE):
         CoefficientSpectrum.from_packed(np.zeros(length, dtype=complex))
 
 
