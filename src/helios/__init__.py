@@ -21,7 +21,6 @@ from .field import (
     SpectralSplit,
     low_pass,
     near_field_trace,
-    near_field_traces,
     norm_identity_check,
     sobolev_norm,
     sobolev_norm_sq,

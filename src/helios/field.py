@@ -13,7 +13,6 @@ norm of a trace is R^2 * sum_{m=0..l} sum_n (n/R)^(2m) |u_n(R)|^2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +42,9 @@ class NearFieldTrace:
 
 @dataclass(frozen=True)
 class SpectralSplit:
-    """Low/high frequency energy budget at cutoff N = floor(sqrt(kR))."""
+    """Low/high frequency energy budget at cutoff N = floor(sqrt(kR)); each
+    field is an array when split_spectrum splits several rows at once (N
+    then as in default_cutoff)."""
 
     N: int
     eps1: float
@@ -51,90 +52,80 @@ class SpectralSplit:
     E: float  # -ln(eps2), +inf when eps2 == 0
 
 
-def _check_kR(k: float, R: float) -> None:
+def _check_kR(k, R):
+    """kR, once k and R are positive and finite and kR >= KR_MIN is finite."""
     require_positive(k=k, R=R)
-    if k * R < KR_MIN:
-        raise DomainError(f"kR = {k * R} below supported minimum {KR_MIN}")
+    with np.errstate(over="ignore"):  # reported below as a CapacityError
+        kR = k * R
+    if np.less(kR, KR_MIN).any():
+        raise DomainError(f"kR = {np.min(kR)} below supported minimum {KR_MIN}")
+    if not np.isfinite(kR).all():
+        raise CapacityError("kR exceeds the floating range")
+    return kR
 
 
-def default_cutoff(k: float, R: float) -> int:
-    """The stability split cutoff N = floor(sqrt(kR))."""
-    _check_kR(k, R)
-    return math.floor(math.sqrt(k * R))
+def default_cutoff(k, R):
+    """The stability split cutoff N = floor(sqrt(kR)): an int, or for array
+    k or R a float array of those integers (a float holds each of them
+    exactly; an int64 would overflow beyond kR of about 8.5e37)."""
+    N = np.floor(np.sqrt(_check_kR(k, R)))
+    return N if N.ndim else int(N)
 
 
 def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
     the Hankel table)."""
-    _check_kR(k, R)
-    values, derivatives = hankel_table(max_degree, k * R)
+    values, derivatives = hankel_table(max_degree, _check_kR(k, R))
     return values[:, 0], derivatives[:, 0]
 
 
 def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
     """Trace of the radiating field generated by a far-field spectrum."""
-    return near_field_traces([(spectrum, k)], R)[0]
+    agg = aggregate(spectrum)
+    h, hp = hankel_factors(agg.max_degree, k, R)
+    with np.errstate(over="ignore", invalid="ignore"):  # sobolev_norm_sq reports an overflow
+        return NearFieldTrace(k=k, R=R, values=1j * k * agg.values * h,
+                              radial_derivatives=1j * k * k * agg.values * hp)
 
 
-def near_field_traces(members, R: float) -> list[NearFieldTrace]:
-    """Traces of several (spectrum, k) pairs on one sphere of radius R,
-    from one Hankel table over all their wavenumbers. Each equals the
-    trace of that pair alone bit for bit: a table column does not depend
-    on the other columns, rows n <= L do not depend on rows above L, and
-    no column is redone from the finite sum, since for kR >= KR_MIN every
-    entry up to degree 60 stays below CAPACITY_LIMIT (|H_60'(0.1)| is
-    about 3.4e162)."""
-    for _, k in members:
-        _check_kR(k, R)
-    aggs = [aggregate(spectrum) for spectrum, _ in members]
-    if not aggs:
-        return []
-    ks = [k for _, k in members]
-    values, derivatives = hankel_table(max(agg.max_degree for agg in aggs), np.array(ks) * R)
-    # one contiguous row per member, as a one-column table would give
-    values, derivatives = values.T.copy(), derivatives.T.copy()
-    return [
-        NearFieldTrace(
-            k=k,
-            R=R,
-            values=1j * k * agg.values * values[j, : agg.max_degree + 1],
-            radial_derivatives=1j * k * k * agg.values * derivatives[j, : agg.max_degree + 1],
-        )
-        for j, (agg, k) in enumerate(zip(aggs, ks))
-    ]
-
-
-def sobolev_norm_sq(values, l: int, R: float) -> float:
+def sobolev_norm_sq(values, l: int, R: float):
     """Squared Sobolev norm R^2 sum_{m<=l} sum_n (n/R)^(2m) |v_n|^2 of
-    per-degree trace values."""
-    if l < 0:
-        raise DomainError("Sobolev order l must be nonnegative")
+    per-degree trace values along the last axis: a float for one trace, an
+    array over the leading axes for several."""
+    if not isinstance(l, (int, np.integer)) or l < 0:
+        raise DomainError(f"Sobolev order l must be a nonnegative integer, got {l!r}")
     require_positive(R=R)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         v = np.abs(np.asarray(values)) ** 2
-        n_over_R = np.arange(len(v)) / R
+        n_over_R = np.arange(v.shape[-1]) / R
         total = 0.0
         for m in range(l + 1):
-            total += float(np.sum(n_over_R ** (2 * m) * v))
+            total = total + (n_over_R ** (2 * m) * v).sum(axis=-1)
         total = R * R * total
-    if not math.isfinite(total):
+    if not np.isfinite(total).all():
         raise CapacityError("Sobolev norm exceeds the floating range")
     return total
 
 
-def sobolev_norm(values, l: int, R: float) -> float:
+def sobolev_norm(values, l: int, R: float):
     """Sobolev norm (square root of sobolev_norm_sq)."""
-    return math.sqrt(sobolev_norm_sq(values, l, R))
+    return np.sqrt(sobolev_norm_sq(values, l, R))
 
 
-def split_spectrum(spectrum, k: float, R: float) -> SpectralSplit:
-    """Energy split at N = floor(sqrt(kR)) and E = -ln(eps2)."""
+def split_spectrum(spectrum, k, R: float) -> SpectralSplit:
+    """Energy split at N = floor(sqrt(kR)) and E = -ln(eps2).
+
+    `spectrum` is a spectrum, or an array of per-degree magnitudes along
+    its last axis with k broadcast over the leading axes; the fields of the
+    split are then arrays over those axes."""
     N = default_cutoff(k, R)
-    agg = aggregate(spectrum)
-    sq = agg.values**2
-    eps1 = math.sqrt(float(np.sum(sq[: N + 1])))
-    eps2 = math.sqrt(float(np.sum(sq[N + 1 :])))
-    E = math.inf if eps2 == 0.0 else -math.log(eps2)
+    values = spectrum if isinstance(spectrum, np.ndarray) else aggregate(spectrum).values
+    low = np.arange(values.shape[-1]) <= np.asarray(N)[..., None]
+    with np.errstate(over="ignore", divide="ignore"):  # eps2 = 0 gives E = +inf
+        sq = values**2
+        eps1 = np.sqrt(np.where(low, sq, 0.0).sum(axis=-1))
+        eps2 = np.sqrt(np.where(low, 0.0, sq).sum(axis=-1))
+        E = -np.log(eps2)
     return SpectralSplit(N=N, eps1=eps1, eps2=eps2, E=E)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, hankel_factors
 from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, synthesize
+from .specfun import N_MAX_SUPPORTED, require_order
 from .util import require_positive
 
 
@@ -78,25 +79,34 @@ def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
     soft or hard obstacle."""
     wave = incident_trace(kind, k, R)
     h, hp = hankel_factors(max_degree, k, R)
-    if kind == "soft":
-        return -wave.trace_radial_derivative / (1j * k * h)
-    if np.any(np.abs(hp) == 0.0):
-        raise CapacityError("computed |H_n'(kR)| underflowed to zero")
-    return wave.trace_value / (1j * hp)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
+        factors = (-wave.trace_radial_derivative / (1j * k * h) if kind == "soft"
+                   else wave.trace_value / (1j * hp))
+    # an inverse would divide by an infinite gain and silently return zero
+    if not np.isfinite(factors).all():
+        raise CapacityError(f"a {kind}-obstacle gain exceeds the floating range")
+    return factors
 
 
 def apply_gain(spectrum: CoefficientSpectrum, factors: np.ndarray) -> CoefficientSpectrum:
     """The diagonal forward map: each coefficient times its degree's gain."""
-    return CoefficientSpectrum.from_packed(factors[spectrum.degrees] * spectrum.coefficients)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
+        coefficients = factors[spectrum.degrees] * spectrum.coefficients
+    if not np.isfinite(coefficients).all():
+        raise CapacityError("a forward-mapped coefficient exceeds the floating range")
+    return CoefficientSpectrum.from_packed(coefficients)
 
 
 def truncated_inverse(
     amplitude: CoefficientSpectrum, factors: np.ndarray, n_cut: int
 ) -> BoundaryPerturbation:
     """Divide the degrees n <= n_cut by their gain and drop the rest."""
+    # a cutoff above the degree cap is valid: it keeps every degree
+    require_order(min(n_cut, N_MAX_SUPPORTED), "cutoff n_cut")
     kept = amplitude.degrees <= n_cut
     d = np.zeros_like(amplitude.coefficients)
-    d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
+    with np.errstate(over="ignore", invalid="ignore"):  # aggregate and energy report an overflow
+        d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
     return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
 
 

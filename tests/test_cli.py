@@ -212,6 +212,16 @@ def test_obstacle_round_trip(tmp_path, capsys):
     assert worst <= 1e-12
 
 
+def test_obstacle_invert_rejects_a_negative_cutoff_without_output(tmp_path, capsys):
+    spec_path = tmp_path / "a.json"
+    write_spectrum_file(spec_path, max_degree=4)
+    out = tmp_path / "d.json"
+    assert main(["obstacle", "invert", str(spec_path), "--kind", "soft",
+                 "--ncut", "-5", "--out", str(out)]) == 2
+    assert "cutoff n_cut must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_command(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(SWEEP_CONFIG))
@@ -267,6 +277,13 @@ def write_json(path, text):
      '{"k": 4, "R": 1, "coefficients": [{"n": 0, "m": 0, "re": "x", "im": 0.0}]}',
      "malformed spectrum file"),
     (["reconstruct", "{}"], '[4, 1]', "malformed spectrum file"),
+    # k and R are finite, kR is not
+    (["obstacle", "invert", "{}", "--kind", "soft", "--out", "{out}"],
+     '{"k": 1e308, "R": 2, "coefficients": []}', "kR exceeds the floating range"),
+    # the trace k a_n H_n(kR) overflows
+    (["reconstruct", "{}"],
+     '{"k": 1e300, "R": 0.9, "coefficients": [{"n": 1, "m": 0, "re": 1.0, "im": 7.0}]}',
+     "Sobolev norm exceeds the floating range"),
 ])
 def test_bad_spectrum_file_exits_2(argv_tail, text, message, tmp_path, capsys):
     path = write_json(tmp_path / "spec.json", text)
@@ -300,6 +317,14 @@ def test_stability_verify_infinite_range_exits_2(capsys):
     {"delta": 1e154, "k_list": [700.0], "seeds": 1, "kind": "hard"},
     # e^(2/R) in the Hoelder terms overflows for R below about 0.003
     {"R": 0.002, "k_list": [2000.0], "seeds": 1, "kind": "hard"},
+    # the draw rescaled to a magnitude near the float maximum overflows
+    {"profile": {**SWEEP_CONFIG["profile"], "max_degree": 0, "amplitude": 1e308},
+     "k_list": [2.0], "delta": 0.0},
+    # the forward map overflows a finite perturbation
+    {"profile": {**SWEEP_CONFIG["profile"], "max_degree": 0, "seed": 3, "amplitude": 1e308},
+     "k_list": [2.0], "delta": 0.0},
+    # the soft gain overflows at a finite kR near the float maximum
+    {"R": 1.65478028276691, "k_list": [1e308], "seeds": 1},
 ])
 def test_sweep_beyond_floating_range_exits_2(overrides, tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, **overrides}))
@@ -340,8 +365,8 @@ CANONICAL_SWEEP = {
     "profile": {"kind": "exponential", "rate": 1.0, "max_degree": 10, "seed": 7},
 }
 CANONICAL_SWEEP_SHA256 = {
-    "soft": "6603678938373d0f4727a77fd6ca3ca5d565a64ab29181fa27e26b8982b673b3",
-    "hard": "5d1d3dcaef1b54687bcc637f09ce97033b5fd515317503f4cacd89fb13c221ba",
+    "soft": "936e5f057ab8f6827c37554463438e9bf46a0f0374591f2824f4100b3cfea396",
+    "hard": "7e9c450f0cda4b8738c2f25fb1919446fe707fcf77bc0e0aa39bafaa22332fd8",
 }
 
 

@@ -11,7 +11,6 @@ from helios.field import (
     hankel_factors,
     low_pass,
     near_field_trace,
-    near_field_traces,
     norm_identity_check,
     sobolev_norm_sq,
     split_spectrum,
@@ -70,6 +69,12 @@ def test_sobolev_single_degree():
 def test_sobolev_norm_rejects_a_radius_that_is_not_positive_and_finite(R):
     with pytest.raises(DomainError, match="^R must be"):
         sobolev_norm_sq(np.ones(3), 1, R)
+
+
+@pytest.mark.parametrize("l", [-1, 1.5])
+def test_sobolev_norm_rejects_an_order_that_is_not_a_nonnegative_integer(l):
+    with pytest.raises(DomainError, match="^Sobolev order l must be a nonnegative integer"):
+        sobolev_norm_sq(np.ones(3), l, 1.0)
 
 
 def test_sobolev_order_monotone():
@@ -192,27 +197,6 @@ def test_hankel_factors_is_a_table_column():
     values, derivatives = hankel_table(12, [4.5])
     assert np.array_equal(h, values[:, 0])
     assert np.array_equal(hp, derivatives[:, 0])
-
-
-@pytest.mark.parametrize("R", [1.0, 0.37])
-def test_ensemble_traces_equal_one_pair_traces(R):
-    # kR down to KR_MIN, where degree 60 is largest, and past 2 up to 1e3
-    rng = np.random.default_rng(int(R * 100))
-    kR = np.concatenate([[0.1, 60.0], 10.0 ** rng.uniform(-1.0, 3.0, 30)])
-    members = [(random_spectrum(int(rng.integers(0, 61)), seed=j), t / R)
-               for j, t in enumerate(kR)]
-    members[0] = (random_spectrum(60, seed=99), 0.1 / R)
-    for (spectrum, k), trace in zip(members, near_field_traces(members, R)):
-        a = aggregate(spectrum)
-        h, hp = hankel_factors(a.max_degree, k, R)
-        assert np.array_equal(trace.values, 1j * k * a.values * h)
-        assert np.array_equal(trace.radial_derivatives, 1j * k * k * a.values * hp)
-        single = near_field_trace(spectrum, k, R)
-        assert np.array_equal(trace.values, single.values)
-        assert np.array_equal(trace.radial_derivatives, single.radial_derivatives)
-    assert near_field_traces([], R) == []
-    with pytest.raises(DomainError):
-        near_field_traces(members + [(members[1][0], 0.05 / R)], R)
 
 
 def test_norm_identity_computes_factors_once(monkeypatch, grid20):

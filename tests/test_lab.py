@@ -26,6 +26,9 @@ def test_profile_magnitudes():
     assert mags[2] == pytest.approx(2.0 * math.exp(-1.0))
     q = DecayProfile("algebraic", 2.0, 3, seed=0)
     assert q.degree_magnitudes()[3] == pytest.approx(1.0 / 16.0)
+    # rate * n overflows to inf, and e^(-inf) = 0 is the magnitude
+    steep = DecayProfile("exponential", 1e308, 3, seed=0).degree_magnitudes()
+    assert steep.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_profile_validation():
@@ -111,6 +114,15 @@ def test_sweep_mean_error_nonincreasing():
 
 def test_sweep_deterministic():
     assert canonical_sweep() == canonical_sweep()
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+def test_sweep_rows_do_not_depend_on_the_replicate_count(kind):
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    k_list = [8.0, 2.0, 30.0]
+    three = ksweep(d, 1.0, k_list, delta=1e-3, seeds=3, kind=kind)
+    five = ksweep(d, 1.0, k_list, delta=1e-3, seeds=5, kind=kind)
+    assert three == [row for row in five if row.replicate < 3]
 
 
 def test_sweep_validation():

@@ -127,6 +127,18 @@ def test_invert_truncates_at_cutoff():
     assert recovered.spectrum[2, 1] == pytest.approx(d.spectrum[2, 1], rel=1e-12)
 
 
+@pytest.mark.parametrize("invert", [invert_soft, invert_hard])
+def test_invert_rejects_a_cutoff_that_is_not_a_nonnegative_integer(invert):
+    amplitude = forward_soft(make_real_perturbation(DecayProfile("exponential", 0.5, 6, seed=1)),
+                             4.0, 1.0)
+    for n_cut in (1.5, -5):
+        with pytest.raises(DomainError, match="^cutoff n_cut"):
+            invert(amplitude, 4.0, 1.0, n_cut=n_cut)
+    # a cutoff above the degree cap keeps every degree
+    every = invert(amplitude, 4.0, 1.0, n_cut=6).spectrum.coefficients
+    assert np.array_equal(invert(amplitude, 4.0, 1.0, n_cut=1000).spectrum.coefficients, every)
+
+
 def test_conjugate_symmetry_preserved():
     d = make_real_perturbation(DecayProfile("exponential", 0.7, 8, seed=9))
     assert d.conjugate_symmetry_residual() <= 1e-15

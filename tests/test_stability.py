@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_spectrum
 from helios.errors import CapacityError, DomainError
 from helios.field import hankel_factors, sobolev_norm_sq, split_spectrum
 from helios.harmonics import AggregateSpectrum, aggregate
@@ -138,21 +139,52 @@ def test_corollary_terms_sum_to_total():
 
 
 ESTIMATES = (rhs_T1, rhs_T2, rhs_T1der, corollary_soft_terms, corollary_hard_terms)
-# (argument slot, value): eps1, eps2, E, k, R, then M (d_norm1 for the corollaries)
-BAD_INPUTS = [(0, math.nan), (0, math.inf), (1, math.nan), (1, math.inf), (2, math.nan),
-              (3, math.nan), (3, math.inf), (4, math.nan), (4, math.inf), (4, 0.0),
-              (5, math.nan), (5, math.inf)]
+WORKED_ARGS = (EPS, EPS, E_WORKED, 4.0, 1.0, 1.0)
+# (argument slot, value, error): eps1, eps2, E, k, R, then M (d_norm1 for the corollaries)
+BAD_INPUTS = [(0, math.nan, DomainError), (0, math.inf, DomainError), (1, math.nan, DomainError),
+              (1, math.inf, DomainError), (2, math.nan, DomainError), (3, math.nan, DomainError),
+              (3, math.inf, DomainError), (4, math.nan, DomainError), (4, math.inf, DomainError),
+              (4, 0.0, DomainError), (5, math.nan, DomainError), (5, math.inf, DomainError),
+              # eps1^2 overflows in the Lipschitz term, M^2 in the a-priori term
+              (0, 1e200, CapacityError), (5, 1e200, CapacityError)]
 
 
 @pytest.mark.parametrize("estimate", ESTIMATES, ids=lambda fn: fn.__name__)
 def test_rejects_non_finite_input(estimate):
-    for slot, value in BAD_INPUTS:
-        args = [EPS, EPS, E_WORKED, 4.0, 1.0, 1.0]
+    for slot, value, error in BAD_INPUTS:
+        args = list(WORKED_ARGS)
         args[slot] = value
-        with pytest.raises(DomainError):
+        with pytest.raises(error):
+            estimate(*args)
+        # a batch with this one bad member raises what the member raises alone
+        good = WORKED_ARGS[slot]
+        args[slot] = np.array([good, good, value, good])
+        with pytest.raises(error):
             estimate(*args)
     # E = +inf is the eps2 = 0 limit, not an error
     assert math.isfinite(estimate(EPS, 0.0, math.inf, 4.0, 1.0, 1.0).total)
+
+
+def soft_T2(*args):
+    return corollary_soft_terms(*args, variant="T2")
+
+
+@pytest.mark.parametrize("estimate", [*ESTIMATES, soft_T2], ids=lambda fn: fn.__name__)
+def test_array_estimates_equal_scalar_estimates(estimate):
+    rng = np.random.default_rng(11)
+    size = 50
+    eps1 = rng.uniform(0.0, 1.0, size)
+    eps2 = np.where(rng.random(size) < 0.2, 0.0, rng.uniform(0.0, 1.0, size))
+    with np.errstate(divide="ignore"):
+        E = -np.log(eps2)
+    k = rng.uniform(2.0, 100.0, size)
+    M = rng.uniform(0.0, 10.0, size)
+    for R in (1.0, rng.uniform(1.0, 3.0, size)):  # a scalar R broadcasts
+        batch = estimate(eps1, eps2, E, k, R, M)
+        columns = (eps1, eps2, E, k, np.broadcast_to(R, size), M)
+        for j in range(size):
+            single = estimate(*(float(column[j]) for column in columns))
+            assert tuple(term[j] for term in batch) == tuple(single)
 
 
 def test_hard_corollary_holder_term_finite_at_large_k():
@@ -196,6 +228,12 @@ def one_spectrum_report(spectrum, k, R, which):
     return lhs, tuple(rhs(split.eps1, split.eps2, split.E, k, R, M)), split, M
 
 
+# A report sums over a row padded to degree N_MAX_SUPPORTED; the one-spectrum
+# reference sums over the spectrum's own degrees, which rounds differently
+# (by at most 3.1 eps on these ensembles).
+ONE_SPECTRUM_REL = 8 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7919])
 @pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
 def test_ensemble_reports_equal_one_spectrum_reports(which, seed):
@@ -209,9 +247,23 @@ def test_ensemble_reports_equal_one_spectrum_reports(which, seed):
         assert report.satisfied == single.satisfied
         assert report.inputs == single.inputs
         lhs, terms, split, M = one_spectrum_report(spectrum, k, 1.0, which)
-        assert (report.lhs, tuple(report.rhs_terms)) == (lhs, terms)
-        assert report.inputs["N"] == split.N and report.inputs["E"] == split.E
-        assert report.inputs["M2" if which == "T1der" else "M1"] == M
+        assert report.lhs == pytest.approx(lhs, rel=ONE_SPECTRUM_REL, abs=0)
+        assert tuple(report.rhs_terms) == pytest.approx(terms, rel=ONE_SPECTRUM_REL, abs=0)
+        assert report.inputs["N"] == split.N
+        for name in ("eps1", "eps2", "E"):
+            assert report.inputs[name] == pytest.approx(getattr(split, name),
+                                                        rel=ONE_SPECTRUM_REL, abs=0)
+        assert report.inputs["M2" if which == "T1der" else "M1"] == pytest.approx(
+            M, rel=ONE_SPECTRUM_REL, abs=0)
+
+
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+def test_a_report_does_not_depend_on_the_other_members(which):
+    members = random_ensemble(20, 3)
+    members.insert(7, (random_spectrum(60, seed=4), 30.0))  # a member at the degree cap
+    for batch in (members, members[::-1]):
+        for (spectrum, k), report in zip(batch, verify_ensemble(batch, 1.0, which)):
+            assert report == verify_theorem(spectrum, k, 1.0, which)
 
 
 def test_verify_ensemble_edge_cases():
@@ -221,6 +273,8 @@ def test_verify_ensemble_edge_cases():
     members = random_ensemble(3, 5)
     with pytest.raises(DomainError):
         verify_ensemble(members + [(members[0][0], 1.0)], 1.0, "T1")  # kR < 2
+    with pytest.raises(DomainError, match="max_degree 61 exceeds"):
+        verify_ensemble(members + [(AggregateSpectrum(np.full(62, 0.01)), 4.0)], 1.0, "T1")
 
 
 @pytest.mark.parametrize("estimate", [
