@@ -17,7 +17,6 @@ from .bounds import (
 )
 from .errors import CapacityError, DomainError, ResolutionError
 from .field import (
-    NearFieldTrace,
     SpectralSplit,
     low_pass,
     near_field_trace,
@@ -27,7 +26,6 @@ from .field import (
     split_spectrum,
 )
 from .harmonics import (
-    AggregateSpectrum,
     CoefficientSpectrum,
     SphereGrid,
     aggregate,

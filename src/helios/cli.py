@@ -19,6 +19,7 @@ from . import bounds as bounds_mod
 from . import io as io_mod
 from .errors import CapacityError, DomainError, ResolutionError
 from .field import low_pass, near_field_trace, sobolev_norm, split_spectrum
+from .harmonics import aggregate
 from .lab import DecayProfile, ensemble_verify, ksweep, make_real_perturbation
 from .obstacle import BoundaryPerturbation, forward_hard, forward_soft, invert_hard, invert_soft
 from .specfun import hankel_value
@@ -57,13 +58,14 @@ def cmd_reconstruct(args) -> int:
     k, R, spectrum = io_mod.load_spectrum(args.input)
     if args.ncut is not None:
         spectrum = low_pass(spectrum, args.ncut)
-    trace = near_field_trace(spectrum, k, R)
-    split = split_spectrum(spectrum, k, R)
+    magnitudes = aggregate(spectrum)
+    values, radial_derivatives = near_field_trace(magnitudes, k, R)
+    split = split_spectrum(magnitudes, k, R)
     norms = {
-        "u_0": sobolev_norm(trace.values, 0, R),
-        "u_1": sobolev_norm(trace.values, 1, R),
-        "du_0": sobolev_norm(trace.radial_derivatives, 0, R),
-        "du_1": sobolev_norm(trace.radial_derivatives, 1, R),
+        "u_0": sobolev_norm(values, 0, R),
+        "u_1": sobolev_norm(values, 1, R),
+        "du_0": sobolev_norm(radial_derivatives, 0, R),
+        "du_1": sobolev_norm(radial_derivatives, 1, R),
     }
     doc = {
         "k": k,
@@ -76,12 +78,12 @@ def cmd_reconstruct(args) -> int:
         "degrees": [
             {
                 "n": n,
-                "u_re": float(trace.values[n].real),
-                "u_im": float(trace.values[n].imag),
-                "du_re": float(trace.radial_derivatives[n].real),
-                "du_im": float(trace.radial_derivatives[n].imag),
+                "u_re": float(u.real),
+                "u_im": float(u.imag),
+                "du_re": float(du.real),
+                "du_im": float(du.imag),
             }
-            for n in range(trace.max_degree + 1)
+            for n, (u, du) in enumerate(zip(values, radial_derivatives))
         ],
     }
     if args.out:

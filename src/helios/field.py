@@ -2,42 +2,32 @@
 spectral Sobolev norms, the low-frequency projector, and the spectral
 split (N, eps1, eps2, E) with N = floor(sqrt(kR)).
 
-Per degree the trace of a radiating field with far-field aggregate a_n is
+Per degree the trace of a radiating field with far-field magnitude a_n is
 
     u_n(R)        = k * i * a_n * H_n(kR),
     d/dr u_n(R)   = k^2 * i * a_n * H_n'(kR),
 
 with H_n the rescaled Hankel function from `specfun`. The squared Sobolev
 norm of a trace is R^2 * sum_{m=0..l} sum_n (n/R)^(2m) |u_n(R)|^2.
+
+Per-degree data is a plain array indexed by degree along its last axis:
+the magnitudes a_n from `harmonics.aggregate` (float), the trace values
+and radial derivatives (complex). A leading axis holds several spectra at
+once, with k broadcast over it; one spectrum is a 1-D array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .harmonics import AggregateSpectrum, CoefficientSpectrum, SphereGrid, aggregate, synthesize
+from .harmonics import CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
 from .util import require_positive
 
 KR_MIN = 0.1
-
-
-@dataclass(frozen=True)
-class NearFieldTrace:
-    """Per-degree trace coefficients u_n(R) and radial derivatives on the
-    sphere of radius R."""
-
-    k: float
-    R: float
-    values: np.ndarray
-    radial_derivatives: np.ndarray
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.values) - 1
 
 
 @dataclass(frozen=True)
@@ -79,13 +69,22 @@ def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.
     return values[:, 0], derivatives[:, 0]
 
 
-def near_field_trace(spectrum, k: float, R: float) -> NearFieldTrace:
-    """Trace of the radiating field generated by a far-field spectrum."""
-    agg = aggregate(spectrum)
-    h, hp = hankel_factors(agg.max_degree, k, R)
-    with np.errstate(over="ignore", invalid="ignore"):  # sobolev_norm_sq reports an overflow
-        return NearFieldTrace(k=k, R=R, values=1j * k * agg.values * h,
-                              radial_derivatives=1j * k * k * agg.values * hp)
+def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trace values u_n(R) and radial derivatives d/dr u_n(R) of the
+    field radiated by per-degree far-field magnitudes along the last axis,
+    with k broadcast over the leading axes: two complex arrays of the
+    magnitudes' shape, from one Hankel table to their degree."""
+    magnitudes = np.asarray(magnitudes)
+    kR = _check_kR(k, R)
+    h, hp = hankel_table(magnitudes.shape[-1] - 1, kR)
+    shape = np.shape(kR) + h.shape[:1]
+    k = np.asarray(k, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
+        values = 1j * k * magnitudes * h.T.reshape(shape)
+        radial_derivatives = 1j * k * k * magnitudes * hp.T.reshape(shape)
+    if not (np.isfinite(values).all() and np.isfinite(radial_derivatives).all()):
+        raise CapacityError("near-field trace exceeds the floating range")
+    return values, radial_derivatives
 
 
 def sobolev_norm_sq(values, l: int, R: float):
@@ -112,41 +111,38 @@ def sobolev_norm(values, l: int, R: float):
     return np.sqrt(sobolev_norm_sq(values, l, R))
 
 
-def split_spectrum(spectrum, k, R: float) -> SpectralSplit:
-    """Energy split at N = floor(sqrt(kR)) and E = -ln(eps2).
-
-    `spectrum` is a spectrum, or an array of per-degree magnitudes along
-    its last axis with k broadcast over the leading axes; the fields of the
-    split are then arrays over those axes."""
+def split_spectrum(magnitudes, k, R: float) -> SpectralSplit:
+    """Energy split at N = floor(sqrt(kR)) and E = -ln(eps2) of per-degree
+    magnitudes along the last axis, with k broadcast over the leading axes;
+    the fields of the split are arrays over those axes, or scalars for one
+    1-D array."""
     N = default_cutoff(k, R)
-    values = spectrum if isinstance(spectrum, np.ndarray) else aggregate(spectrum).values
-    low = np.arange(values.shape[-1]) <= np.asarray(N)[..., None]
-    with np.errstate(over="ignore", divide="ignore"):  # eps2 = 0 gives E = +inf
-        sq = values**2
+    magnitudes = np.asarray(magnitudes)
+    low = np.arange(magnitudes.shape[-1]) <= np.asarray(N)[..., None]
+    # an overflow is reported below as a CapacityError; eps2 = 0 gives E = +inf
+    with np.errstate(over="ignore", divide="ignore"):
+        sq = magnitudes**2
         eps1 = np.sqrt(np.where(low, sq, 0.0).sum(axis=-1))
         eps2 = np.sqrt(np.where(low, 0.0, sq).sum(axis=-1))
         E = -np.log(eps2)
+    if not (np.isfinite(eps1).all() and np.isfinite(eps2).all()):
+        raise CapacityError("eps1 or eps2 exceeds the floating range")
     return SpectralSplit(N=N, eps1=eps1, eps2=eps2, E=E)
 
 
 def low_pass(obj, N: int):
-    """Zero all degrees above N; returns an object of the same type."""
+    """Zero all degrees above N of a spectrum, or of an array indexed by
+    degree along its last axis; returns a new object of the same type."""
     # a cutoff above the degree cap is valid: it keeps every degree
     require_order(min(N, N_MAX_SUPPORTED), "cutoff N")
     if isinstance(obj, CoefficientSpectrum):
         coefficients = obj.coefficients.copy()
         coefficients[(N + 1) ** 2 :] = 0.0  # the slots of degrees above N
         return CoefficientSpectrum.from_packed(coefficients)
-    if isinstance(obj, AggregateSpectrum):
-        values = obj.values.copy()
-        values[N + 1 :] = 0.0
-        return AggregateSpectrum(values=values)
-    if isinstance(obj, NearFieldTrace):
-        values = obj.values.copy()
-        ders = obj.radial_derivatives.copy()
-        values[N + 1 :] = 0.0
-        ders[N + 1 :] = 0.0
-        return replace(obj, values=values, radial_derivatives=ders)
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        values = obj.copy()
+        values[..., N + 1 :] = 0.0
+        return values
     raise DomainError(f"low_pass does not support {type(obj).__name__}")
 
 
@@ -166,6 +162,5 @@ def norm_identity_check(
     trace = CoefficientSpectrum.from_packed(1j * k * spectrum.coefficients * h[spectrum.degrees])
     samples = synthesize(trace, grid)
     lhs = R * R * float(np.real(grid.integrate(samples * np.conjugate(samples))))
-    agg = aggregate(spectrum)
-    rhs = k * k * R * R * float(np.sum(agg.values**2 * np.abs(h) ** 2))
+    rhs = k * k * R * R * float(np.sum(aggregate(spectrum) ** 2 * np.abs(h) ** 2))
     return lhs, rhs

@@ -2,6 +2,7 @@
 Gauss-Legendre x uniform-longitude quadrature on the unit sphere, and the
 analysis / synthesis / per-degree aggregation operations on coefficient
 spectra. A spectrum is one complex array: a_{m,n} sits in slot n^2 + n + m.
+Its per-degree magnitudes are one float array: a_n sits in slot n.
 
 A grid of design degree L uses L+1 Gauss-Legendre nodes in cos(theta) and
 2L+1 uniform longitudes, which integrates products Y_n^m * conj(Y_n'^m')
@@ -157,20 +158,6 @@ class CoefficientSpectrum:
         return self + other.scaled(-1.0)
 
 
-@dataclass(frozen=True)
-class AggregateSpectrum:
-    """Per-degree magnitudes a_n = (sum_m |a_{m,n}|^2)^(1/2)."""
-
-    values: np.ndarray  # shape (max_degree + 1,), nonnegative
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.values) - 1
-
-    def energy(self) -> float:
-        return float(np.sum(self.values**2))
-
-
 def conjugate_mirror(spectrum: CoefficientSpectrum) -> CoefficientSpectrum:
     """Spectrum of the complex conjugate function: slot (n, m) holds
     (-1)^m conj(a_{n,-m}). A real function is its own conjugate mirror."""
@@ -179,15 +166,14 @@ def conjugate_mirror(spectrum: CoefficientSpectrum) -> CoefficientSpectrum:
     return CoefficientSpectrum.from_packed((-1.0) ** order * np.conjugate(mirror))
 
 
-def aggregate(spectrum: CoefficientSpectrum | AggregateSpectrum) -> AggregateSpectrum:
-    """Collapse orders into per-degree magnitudes (Pythagorean sum)."""
-    if isinstance(spectrum, AggregateSpectrum):
-        return spectrum
+def aggregate(spectrum: CoefficientSpectrum) -> np.ndarray:
+    """Collapse orders into per-degree magnitudes (Pythagorean sum): the
+    array a_n = (sum_m |a_{m,n}|^2)^(1/2), n = 0..max_degree."""
     with np.errstate(over="ignore"):  # reported below as a CapacityError
         sq = np.bincount(spectrum.degrees, weights=np.abs(spectrum.coefficients) ** 2)
     if not np.all(np.isfinite(sq)):
         raise CapacityError("per-degree spectrum energy exceeds the floating range")
-    return AggregateSpectrum(values=np.sqrt(sq))
+    return np.sqrt(sq)
 
 
 @dataclass

@@ -67,7 +67,7 @@ def _with_degree_magnitudes(raw: np.ndarray, target: np.ndarray) -> CoefficientS
     """The packed array `raw` with each degree n rescaled to aggregate
     magnitude target[n]; a degree with zero energy or target stays zero."""
     spectrum = CoefficientSpectrum.from_packed(raw)
-    norm = aggregate(spectrum).values
+    norm = aggregate(spectrum)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         scale = np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0.0)
         coefficients = raw * scale[spectrum.degrees]
@@ -171,7 +171,7 @@ def ksweep(
             child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
             noisy = perturb(amplitude, delta, child)
             recovered = truncated_inverse(noisy, factors, n_cut).spectrum
-            magnitudes.append([aggregate(spectrum).values
+            magnitudes.append([aggregate(spectrum)
                                for spectrum in (noisy, recovered, recovered - d.spectrum)])
         noisy_rows, recovered_rows, error_rows = np.moveaxis(np.array(magnitudes), 1, 0)
         split = split_spectrum(noisy_rows, k, R)

@@ -105,8 +105,10 @@ def truncated_inverse(
     require_order(min(n_cut, N_MAX_SUPPORTED), "cutoff n_cut")
     kept = amplitude.degrees <= n_cut
     d = np.zeros_like(amplitude.coefficients)
-    with np.errstate(over="ignore", invalid="ignore"):  # aggregate and energy report an overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
+    if not np.isfinite(d).all():
+        raise CapacityError("a recovered coefficient exceeds the floating range")
     return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
 
 

@@ -16,6 +16,10 @@ eps2, and an a-priori term in M/(E + k):
 When eps2 = 0, E = +inf and every E-denominated or eps2-weighted term is
 zero (the continuous limit of the estimates): R^2 M^2 / inf is that zero.
 
+`verify_theorem` takes one `CoefficientSpectrum` and a wavenumber k;
+`verify_ensemble` takes a list of (CoefficientSpectrum, k) pairs and
+returns one report per pair.
+
 Every argument of an estimate or a corollary is a float or an array, and
 arrays broadcast against each other. An array call equals the element-wise
 scalar calls bit for bit, and a batch with one failing element raises the
@@ -31,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .field import sobolev_norm_sq, split_spectrum
-from .harmonics import aggregate
-from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
+from .field import near_field_trace, sobolev_norm_sq, split_spectrum
+from .harmonics import CoefficientSpectrum, aggregate
+from .specfun import N_MAX_SUPPORTED
 from .util import require_finite, require_positive
 
 KR_MIN_ESTIMATES = 2.0
@@ -133,7 +137,7 @@ def rhs_T1der(eps1, eps2, E, k, R, M2) -> RhsTerms:
 _RHS = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}
 
 
-def verify_theorem(spectrum, k: float, R: float, which: str) -> StabilityReport:
+def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str) -> StabilityReport:
     """Check one stability estimate on the trace generated by a spectrum.
 
     lhs is the squared surface norm of the trace (T1, T2) or of its radial
@@ -144,9 +148,10 @@ def verify_theorem(spectrum, k: float, R: float, which: str) -> StabilityReport:
 
 @_quiet
 def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
-    """`verify_theorem` for every (spectrum, k) pair on one sphere of
-    radius R, as column operations on one member x degree matrix of
-    aggregate magnitudes. Every row is padded to degree N_MAX_SUPPORTED and
+    """`verify_theorem` for every (CoefficientSpectrum, k) pair of
+    `members` on one sphere of radius R, as column operations on one
+    member x degree matrix of aggregate magnitudes and its
+    `near_field_trace`. Every row is padded to degree N_MAX_SUPPORTED and
     every trace comes from one Hankel table to that degree, so no sum over
     a row depends on the other members: each report equals that of
     `verify_theorem` bit for bit."""
@@ -155,13 +160,10 @@ def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
     ks = np.array([k for _, k in members], dtype=float)
     magnitudes = np.zeros((len(members), N_MAX_SUPPORTED + 1))
     for row, (spectrum, _) in zip(magnitudes, members):
-        values = aggregate(spectrum).values
-        require_order(len(values) - 1, "max_degree")  # an AggregateSpectrum is not checked
-        row[: len(values)] = values
+        row[: spectrum.max_degree + 1] = aggregate(spectrum)
     split = split_spectrum(magnitudes, ks, R)  # also checks kR against field.KR_MIN
-    h, hp = hankel_table(N_MAX_SUPPORTED, ks * R)
-    kc = ks[:, None]
-    trace = 1j * kc * kc * magnitudes * hp.T if which == "T1der" else 1j * kc * magnitudes * h.T
+    values, radial_derivatives = near_field_trace(magnitudes, ks, R)
+    trace = radial_derivatives if which == "T1der" else values
     lhs_col = sobolev_norm_sq(trace, 0, R)
     M_col = np.sqrt(sobolev_norm_sq(trace, 1, R))
     terms = _RHS[which](split.eps1, split.eps2, split.E, ks, R, M_col)

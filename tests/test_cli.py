@@ -283,7 +283,7 @@ def write_json(path, text):
     # the trace k a_n H_n(kR) overflows
     (["reconstruct", "{}"],
      '{"k": 1e300, "R": 0.9, "coefficients": [{"n": 1, "m": 0, "re": 1.0, "im": 7.0}]}',
-     "Sobolev norm exceeds the floating range"),
+     "near-field trace exceeds the floating range"),
 ])
 def test_bad_spectrum_file_exits_2(argv_tail, text, message, tmp_path, capsys):
     path = write_json(tmp_path / "spec.json", text)

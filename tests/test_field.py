@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_spectrum
 from helios import field
-from helios.errors import DomainError
+from helios.errors import CapacityError, DomainError
 from helios.field import (
     default_cutoff,
     hankel_factors,
@@ -15,44 +15,72 @@ from helios.field import (
     sobolev_norm_sq,
     split_spectrum,
 )
-from helios.harmonics import AggregateSpectrum, CoefficientSpectrum, aggregate
+from helios.harmonics import CoefficientSpectrum, aggregate
 from helios.specfun import hankel_magnitude_oracle, hankel_table
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def agg(*values):
-    return AggregateSpectrum(values=np.array(values, dtype=float))
+    return np.array(values, dtype=float)
 
 
 def test_zero_trace():
-    trace = near_field_trace(agg(0.0, 0.0, 0.0), k=4.0, R=1.0)
-    assert np.all(trace.values == 0)
-    assert np.all(trace.radial_derivatives == 0)
+    values, radial_derivatives = near_field_trace(agg(0.0, 0.0, 0.0), k=4.0, R=1.0)
+    assert values.shape == radial_derivatives.shape == (3,)
+    assert np.all(values == 0)
+    assert np.all(radial_derivatives == 0)
 
 
 def test_monopole_closed_form():
-    trace = near_field_trace(agg(1.0), k=4.0, R=1.0)
+    values, _ = near_field_trace(agg(1.0), k=4.0, R=1.0)
     # |u_0(R)| = k * sqrt(2/pi)/(kR) = sqrt(2/pi) at R = 1
-    assert abs(trace.values[0]) == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)
+    assert abs(values[0]) == pytest.approx(SQRT_2_OVER_PI, rel=1e-14)
 
 
 def test_single_degree_against_oracle():
-    trace = near_field_trace(agg(0.0, 0.0, 1.0), k=4.0, R=1.0)
-    assert abs(trace.values[2]) == pytest.approx(4.0 * hankel_magnitude_oracle(2, 4.0), rel=1e-10)
+    values, _ = near_field_trace(agg(0.0, 0.0, 1.0), k=4.0, R=1.0)
+    assert abs(values[2]) == pytest.approx(4.0 * hankel_magnitude_oracle(2, 4.0), rel=1e-10)
 
 
 def test_trace_linearity():
     a = aggregate(random_spectrum(10, seed=0))
     b = aggregate(random_spectrum(10, seed=1))
     alpha, beta = 0.7, 1.9
-    mixed = AggregateSpectrum(values=alpha * a.values + beta * b.values)
-    t_mixed = near_field_trace(mixed, 5.0, 1.2)
-    t_a = near_field_trace(a, 5.0, 1.2)
-    t_b = near_field_trace(b, 5.0, 1.2)
-    assert np.allclose(
-        t_mixed.values, alpha * t_a.values + beta * t_b.values, rtol=1e-12, atol=0
-    )
+    t_mixed, _ = near_field_trace(alpha * a + beta * b, 5.0, 1.2)
+    t_a, _ = near_field_trace(a, 5.0, 1.2)
+    t_b, _ = near_field_trace(b, 5.0, 1.2)
+    assert np.allclose(t_mixed, alpha * t_a + beta * t_b, rtol=1e-12, atol=0)
+
+
+def test_trace_of_a_matrix_equals_the_trace_of_each_row():
+    magnitudes = np.array([aggregate(random_spectrum(12, seed=seed)) for seed in range(5)])
+    ks = np.array([2.5, 4.0, 9.75, 31.0, 60.0])
+    values, radial_derivatives = near_field_trace(magnitudes, ks, 1.3)
+    assert values.shape == radial_derivatives.shape == magnitudes.shape
+    for row, k, u, du in zip(magnitudes, ks, values, radial_derivatives):
+        u_row, du_row = near_field_trace(row, k, 1.3)
+        assert np.array_equal(u, u_row)
+        assert np.array_equal(du, du_row)
+    # the same bits with a Python float k
+    u_row, du_row = near_field_trace(magnitudes[2], float(ks[2]), 1.3)
+    assert np.array_equal(values[2], u_row) and np.array_equal(radial_derivatives[2], du_row)
+
+
+def test_trace_is_the_hankel_formula():
+    a = aggregate(random_spectrum(8, seed=3))
+    h, hp = hankel_factors(8, 5.0, 1.2)
+    values, radial_derivatives = near_field_trace(a, 5.0, 1.2)
+    assert np.array_equal(values, 1j * 5.0 * a * h)
+    assert np.array_equal(radial_derivatives, 1j * 5.0 * 5.0 * a * hp)
+
+
+def test_trace_overflow_raises_capacity_error():
+    # k^2 = 1e600 overflows before H_n'(kR) ~ 1/(kR) scales it back: the derivatives are NaN
+    with pytest.raises(CapacityError, match="near-field trace exceeds the floating range"):
+        near_field_trace(np.array([0.0, 7.07]), 1e300, 0.9)
+    with pytest.raises(CapacityError):
+        near_field_trace(np.array([[1.0], [math.nan]]), np.array([4.0, 4.0]), 1.0)
 
 
 def test_sobolev_single_degree():
@@ -99,7 +127,7 @@ CUTOFF_KR = [4.0, 9.0, 49.0, math.nextafter(4.0, 0.0),
 def test_split_uses_the_default_cutoff(kR):
     N = default_cutoff(kR, 1.0)
     assert N * N <= kR < (N + 1) * (N + 1)
-    assert split_spectrum(random_spectrum(25, seed=1), kR, 1.0).N == N
+    assert split_spectrum(aggregate(random_spectrum(25, seed=1)), kR, 1.0).N == N
 
 
 def test_split_E_definition():
@@ -115,26 +143,51 @@ def test_split_zero_tail_gives_infinite_E():
 
 
 def test_split_energy_conserved():
-    a = aggregate(random_spectrum(14, seed=5))
-    split = split_spectrum(a, 7.0, 1.3)
-    assert split.eps1**2 + split.eps2**2 == pytest.approx(a.energy(), rel=1e-12)
+    spectrum = random_spectrum(14, seed=5)
+    split = split_spectrum(aggregate(spectrum), 7.0, 1.3)
+    assert split.eps1**2 + split.eps2**2 == pytest.approx(spectrum.energy(), rel=1e-12)
+
+
+def test_split_overflow_raises_capacity_error():
+    # eps1^2 = 2e308 at N = 1000; eps2^2 = 2e308 at N = 3
+    for magnitudes, k, R in [(np.array([1e154, 1e154]), 1e5, 10.0),
+                             (np.array([0.0] * 4 + [1e154, 1e154]), 9.0, 1.0)]:
+        with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
+            split_spectrum(magnitudes, k, R)
 
 
 def test_low_pass_idempotent():
     a = aggregate(random_spectrum(9, seed=2))
     once = low_pass(a, 4)
     twice = low_pass(once, 4)
-    assert np.array_equal(once.values, twice.values)
+    assert np.array_equal(once, twice)
 
 
 def test_low_pass_identity_below_cutoff():
     a = aggregate(random_spectrum(5, seed=2))
-    assert np.array_equal(low_pass(a, 9).values, a.values)
+    assert np.array_equal(low_pass(a, 9), a)
 
 
 def test_low_pass_energy_contraction():
     a = aggregate(random_spectrum(12, seed=8))
-    assert low_pass(a, 6).energy() <= a.energy()
+    assert np.sum(low_pass(a, 6) ** 2) <= np.sum(a**2)
+
+
+def test_low_pass_cuts_each_row_of_a_matrix():
+    rows = np.arange(1.0, 25.0).reshape(3, 8)
+    cut = low_pass(rows, 2)
+    assert cut.shape == rows.shape
+    assert np.array_equal(cut[:, :3], rows[:, :3])
+    assert not cut[:, 3:].any()
+    for row, cut_row in zip(rows, cut):
+        assert np.array_equal(low_pass(row, 2), cut_row)
+    assert rows[0, 7] == 8.0  # the input is left as it was
+
+
+@pytest.mark.parametrize("obj", [np.array(1.0), [1.0, 2.0]], ids=["0-d array", "list"])
+def test_low_pass_rejects_an_unsupported_object(obj):
+    with pytest.raises(DomainError, match="^low_pass does not support"):
+        low_pass(obj, 1)
 
 
 def test_low_pass_spectrum():
@@ -175,9 +228,9 @@ def test_low_pass_lipschitz_bound():
         a = aggregate(random_spectrum(15, seed=seed))
         for kR in (2.0, 5.0, 30.0, 100.0):
             split = split_spectrum(a, kR, 1.0)
-            trace = near_field_trace(a, kR, 1.0)
-            projected = low_pass(trace, split.N)
-            norm = math.sqrt(sobolev_norm_sq(projected.values, 0, 1.0))
+            values, _ = near_field_trace(a, kR, 1.0)
+            projected = low_pass(values, split.N)
+            norm = math.sqrt(sobolev_norm_sq(projected, 0, 1.0))
             assert norm <= const * split.eps1
 
 

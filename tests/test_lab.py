@@ -49,7 +49,7 @@ def test_make_spectrum_matches_profile():
     spec = make_spectrum(CANONICAL_PROFILE)
     agg = aggregate(spec)
     target = CANONICAL_PROFILE.degree_magnitudes()
-    assert np.allclose(agg.values, target, rtol=1e-12, atol=0)
+    assert np.allclose(agg, target, rtol=1e-12, atol=0)
 
 
 def test_make_spectrum_deterministic():
@@ -63,7 +63,7 @@ def test_make_real_perturbation_properties():
     assert d.conjugate_symmetry_residual() <= 1e-15
     agg = aggregate(d.spectrum)
     target = DecayProfile("exponential", 0.6, 8, seed=5).degree_magnitudes()
-    assert np.allclose(agg.values, target, rtol=1e-12, atol=0)
+    assert np.allclose(agg, target, rtol=1e-12, atol=0)
 
 
 def test_perturb_exact_energy():

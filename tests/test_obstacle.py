@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helios.errors import DomainError
+from helios.errors import CapacityError, DomainError
 from helios.field import hankel_factors
 from helios.harmonics import CoefficientSpectrum
 from helios.lab import DecayProfile, make_real_perturbation
@@ -137,6 +137,15 @@ def test_invert_rejects_a_cutoff_that_is_not_a_nonnegative_integer(invert):
     # a cutoff above the degree cap keeps every degree
     every = invert(amplitude, 4.0, 1.0, n_cut=6).spectrum.coefficients
     assert np.array_equal(invert(amplitude, 4.0, 1.0, n_cut=1000).spectrum.coefficients, every)
+
+
+@pytest.mark.parametrize("invert", [invert_soft, invert_hard])
+def test_invert_raises_capacity_error_for_an_overflowing_coefficient(invert):
+    # 1/|gain| at degree 40 and kR = 2 is above 1e46, so the quotient overflows
+    amplitude = CoefficientSpectrum(40, {(40, 0): 1e300})
+    with pytest.raises(CapacityError, match="recovered coefficient exceeds the floating range"):
+        invert(amplitude, 2.0, 1.0, n_cut=40)
+    assert not invert(amplitude, 2.0, 1.0, n_cut=39).spectrum.coefficients.any()
 
 
 def test_conjugate_symmetry_preserved():

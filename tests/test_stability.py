@@ -6,7 +6,7 @@ import pytest
 from conftest import random_spectrum
 from helios.errors import CapacityError, DomainError
 from helios.field import hankel_factors, sobolev_norm_sq, split_spectrum
-from helios.harmonics import AggregateSpectrum, aggregate
+from helios.harmonics import CoefficientSpectrum, aggregate
 from helios.lab import random_ensemble
 from helios.stability import (
     corollary_hard_terms,
@@ -86,8 +86,14 @@ def test_non_lipschitz_T2_decreases_in_k():
         previous = terms.non_lipschitz
 
 
+def zonal(values):
+    """The spectrum with a_{0,n} = values[n]: its aggregate is |values|
+    exactly."""
+    return CoefficientSpectrum(len(values) - 1, {(n, 0): v for n, v in enumerate(values)})
+
+
 def test_verify_single_mode():
-    spectrum = AggregateSpectrum(values=np.array([1.0]))
+    spectrum = zonal([1.0])
     report = verify_theorem(spectrum, 4.0, 1.0, "T1")
     assert report.lhs == pytest.approx(2.0 / math.pi, rel=1e-12)
     assert report.inputs["eps1"] == 1.0
@@ -97,8 +103,7 @@ def test_verify_single_mode():
 
 
 def test_verify_all_estimates_on_decaying_spectrum():
-    values = np.exp(-np.arange(12, dtype=float))
-    spectrum = AggregateSpectrum(values=values)
+    spectrum = zonal(np.exp(-np.arange(12, dtype=float)))
     for which in ("T1", "T2", "T1der"):
         report = verify_theorem(spectrum, 6.0, 1.0, which)
         assert report.satisfied
@@ -107,7 +112,7 @@ def test_verify_all_estimates_on_decaying_spectrum():
 
 def test_verify_unknown_estimate():
     with pytest.raises(DomainError):
-        verify_theorem(AggregateSpectrum(values=np.array([1.0])), 4.0, 1.0, "T3")
+        verify_theorem(zonal([1.0]), 4.0, 1.0, "T3")
 
 
 def test_corollary_soft_worked_values():
@@ -218,10 +223,10 @@ def test_estimates_never_return_an_infinite_term(estimate):
 def one_spectrum_report(spectrum, k, R, which):
     """A report built the one-spectrum way: its own aggregate, split and
     one-column Hankel factors."""
-    split = split_spectrum(spectrum, k, R)
     agg = aggregate(spectrum)
-    h, hp = hankel_factors(agg.max_degree, k, R)
-    values = 1j * k * k * agg.values * hp if which == "T1der" else 1j * k * agg.values * h
+    split = split_spectrum(agg, k, R)
+    h, hp = hankel_factors(spectrum.max_degree, k, R)
+    values = 1j * k * k * agg * hp if which == "T1der" else 1j * k * agg * h
     lhs = sobolev_norm_sq(values, 0, R)
     M = math.sqrt(sobolev_norm_sq(values, 1, R))
     rhs = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}[which]
@@ -273,8 +278,17 @@ def test_verify_ensemble_edge_cases():
     members = random_ensemble(3, 5)
     with pytest.raises(DomainError):
         verify_ensemble(members + [(members[0][0], 1.0)], 1.0, "T1")  # kR < 2
-    with pytest.raises(DomainError, match="max_degree 61 exceeds"):
-        verify_ensemble(members + [(AggregateSpectrum(np.full(62, 0.01)), 4.0)], 1.0, "T1")
+
+
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+def test_an_overflowing_energy_split_raises_capacity_error(which):
+    # eps1^2 = 2e308: each degree's energy is finite, their sum is not
+    spectrum = zonal([1e154, 1e154])
+    with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
+        verify_theorem(spectrum, 1e5, 10.0, which)
+    members = random_ensemble(3, 5)
+    with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
+        verify_ensemble(members[:1] + [(spectrum, 1e5)] + members[1:], 10.0, which)
 
 
 @pytest.mark.parametrize("estimate", [
