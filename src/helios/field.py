@@ -73,15 +73,18 @@ def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
     """The trace values u_n(R) and radial derivatives d/dr u_n(R) of the
     field radiated by per-degree far-field magnitudes along the last axis,
     with k broadcast over the leading axes: two complex arrays of the
-    magnitudes' shape, from one Hankel table to their degree."""
+    magnitudes' shape, from one Hankel table to their degree. The
+    derivative is (i k a_n H_n') * k: k^2 alone overflows for k beyond
+    about 1.3e154, where H_n'(kR) ~ 1/(kR) keeps the derivative finite."""
     magnitudes = np.asarray(magnitudes)
     kR = _check_kR(k, R)
     h, hp = hankel_table(magnitudes.shape[-1] - 1, kR)
     shape = np.shape(kR) + h.shape[:1]
     k = np.asarray(k, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
-        values = 1j * k * magnitudes * h.T.reshape(shape)
-        radial_derivatives = 1j * k * k * magnitudes * hp.T.reshape(shape)
+        ika = 1j * k * magnitudes
+        values = ika * h.T.reshape(shape)
+        radial_derivatives = ika * hp.T.reshape(shape) * k
     if not (np.isfinite(values).all() and np.isfinite(radial_derivatives).all()):
         raise CapacityError("near-field trace exceeds the floating range")
     return values, radial_derivatives

@@ -189,6 +189,13 @@ def test_stability_verify_output_is_pinned(capsys):
         "which=T2 ensemble=200 failures=0 min_slack=0.013970159137166873\n")
 
 
+@pytest.mark.parametrize("which", ["T1", "T2"])
+def test_stability_verify_at_a_wavenumber_whose_square_overflows(which, capsys):
+    assert main(["stability-verify", "--ensemble-size", "5", "--which", which,
+                 "--kR-range", "1e160", "1e160"]) == 0
+    assert "failures=0" in capsys.readouterr().out
+
+
 def test_stability_verify_bad_range():
     assert main([
         "stability-verify", "--ensemble-size", "5", "--kR-range", "1", "10",
@@ -280,10 +287,10 @@ def write_json(path, text):
     # k and R are finite, kR is not
     (["obstacle", "invert", "{}", "--kind", "soft", "--out", "{out}"],
      '{"k": 1e308, "R": 2, "coefficients": []}', "kR exceeds the floating range"),
-    # the trace k a_n H_n(kR) overflows
+    # the radial derivative k^2 a_n H_n'(kR) is about 6e300; its squared norm overflows
     (["reconstruct", "{}"],
      '{"k": 1e300, "R": 0.9, "coefficients": [{"n": 1, "m": 0, "re": 1.0, "im": 7.0}]}',
-     "near-field trace exceeds the floating range"),
+     "Sobolev norm exceeds the floating range"),
 ])
 def test_bad_spectrum_file_exits_2(argv_tail, text, message, tmp_path, capsys):
     path = write_json(tmp_path / "spec.json", text)

@@ -72,13 +72,22 @@ def test_trace_is_the_hankel_formula():
     h, hp = hankel_factors(8, 5.0, 1.2)
     values, radial_derivatives = near_field_trace(a, 5.0, 1.2)
     assert np.array_equal(values, 1j * 5.0 * a * h)
-    assert np.array_equal(radial_derivatives, 1j * 5.0 * 5.0 * a * hp)
+    assert np.array_equal(radial_derivatives, 1j * 5.0 * a * hp * 5.0)
+
+
+def test_trace_derivative_never_forms_k_squared():
+    # k^2 = 1e600 overflows, but H_n'(kR) ~ 1/(kR) keeps d/dr u_n ~ k a_n / R finite
+    k, R = 1e300, 0.9
+    _, radial_derivatives = near_field_trace(np.array([0.0, 7.07]), k, R)
+    _, hp = hankel_factors(1, k, R)
+    assert radial_derivatives[0] == 0
+    assert radial_derivatives[1] == pytest.approx(1j * k * 7.07 * (k * hp[1]), rel=1e-15)
 
 
 def test_trace_overflow_raises_capacity_error():
-    # k^2 = 1e600 overflows before H_n'(kR) ~ 1/(kR) scales it back: the derivatives are NaN
+    # |u_0(R)| = a_0 sqrt(2/pi) / R = 8e308 exceeds the floating range
     with pytest.raises(CapacityError, match="near-field trace exceeds the floating range"):
-        near_field_trace(np.array([0.0, 7.07]), 1e300, 0.9)
+        near_field_trace(np.array([1e308]), 1.0, 0.1)
     with pytest.raises(CapacityError):
         near_field_trace(np.array([[1.0], [math.nan]]), np.array([4.0, 4.0]), 1.0)
 

@@ -291,6 +291,21 @@ def test_an_overflowing_energy_split_raises_capacity_error(which):
         verify_ensemble(members[:1] + [(spectrum, 1e5)] + members[1:], 10.0, which)
 
 
+@pytest.mark.parametrize("which", ["T1", "T2"])
+def test_the_trace_estimates_do_not_need_k_squared(which):
+    # k^2 = 1e320 overflows; T1 and T2 reduce only the trace values, and the
+    # radial derivative k a_0 sqrt(2/pi) / R = 8e159 stays finite beside them
+    spectrum = zonal([1.0])
+    report = verify_theorem(spectrum, 1e160, 1.0, which)
+    assert report.lhs == 0.6366197723675814
+    assert report.rhs_terms == (4.704019211712519, 0.0, 0.0)
+    assert report.satisfied
+    assert report.inputs["M1"] == 0.7978845608028654
+    assert [report.inputs[name] for name in ("eps1", "eps2", "E")] == [1.0, 0.0, math.inf]
+    with pytest.raises(CapacityError, match="Sobolev norm exceeds the floating range"):
+        verify_theorem(spectrum, 1e160, 1.0, "T1der")  # |d/dr u_0|^2 = 6e319
+
+
 @pytest.mark.parametrize("estimate", [
     *ESTIMATES, lambda *args: corollary_soft_terms(*args, variant="T2"),
 ], ids=[fn.__name__ for fn in ESTIMATES] + ["corollary_soft_terms_T2"])
