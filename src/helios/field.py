@@ -18,6 +18,7 @@ once, with k broadcast over it; one spectrum is a 1-D array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .harmonics import CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
-from .util import require_positive
+from .util import require_finite, require_positive
 
 KR_MIN = 0.1
 
@@ -45,6 +46,13 @@ class SpectralSplit:
 def _check_kR(k, R):
     """kR, once k and R are positive and finite and kR >= KR_MIN is finite."""
     require_positive(k=k, R=R)
+    if type(k) is float and type(R) is float:
+        kR = k * R  # the common scalar case, without numpy's call overhead
+        if kR < KR_MIN:
+            raise DomainError(f"kR = {kR} below supported minimum {KR_MIN}")
+        if kR == math.inf:
+            raise CapacityError("kR exceeds the floating range")
+        return kR
     with np.errstate(over="ignore"):  # reported below as a CapacityError
         kR = k * R
     if np.less(kR, KR_MIN).any():
@@ -52,6 +60,16 @@ def _check_kR(k, R):
     if not np.isfinite(kR).all():
         raise CapacityError("kR exceeds the floating range")
     return kR
+
+
+def _per_degree(data, name: str) -> np.ndarray:
+    """`data` as an array indexed by degree along its last axis, which it
+    must have; DomainError for a 0-d array or a NaN or infinite entry."""
+    data = np.asarray(data)
+    if data.ndim == 0:
+        raise DomainError(f"{name} must be indexed by degree along a last axis, got a 0-d array")
+    require_finite(**{name: data})
+    return data
 
 
 def default_cutoff(k, R):
@@ -62,11 +80,15 @@ def default_cutoff(k, R):
     return N if N.ndim else int(N)
 
 
-def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
-    the Hankel table)."""
-    values, derivatives = hankel_table(max_degree, _check_kR(k, R))
-    return values[:, 0], derivatives[:, 0]
+def hankel_factors(max_degree: int, k, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """H_n(kR) and H_n'(kR) for n = 0..max_degree along the last axis, from
+    one Hankel table: two arrays of shape (max_degree + 1,) for a float k,
+    and of shape np.shape(k * R) + (max_degree + 1,) for an array k, each
+    row bit-equal to the scalar call."""
+    kR = _check_kR(k, R)
+    values, derivatives = hankel_table(max_degree, kR)
+    shape = np.shape(kR) + values.shape[:1]
+    return values.T.reshape(shape), derivatives.T.reshape(shape)
 
 
 def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
@@ -76,15 +98,13 @@ def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
     magnitudes' shape, from one Hankel table to their degree. The
     derivative is (i k a_n H_n') * k: k^2 alone overflows for k beyond
     about 1.3e154, where H_n'(kR) ~ 1/(kR) keeps the derivative finite."""
-    magnitudes = np.asarray(magnitudes)
-    kR = _check_kR(k, R)
-    h, hp = hankel_table(magnitudes.shape[-1] - 1, kR)
-    shape = np.shape(kR) + h.shape[:1]
+    magnitudes = _per_degree(magnitudes, "magnitudes")
+    h, hp = hankel_factors(magnitudes.shape[-1] - 1, k, R)
     k = np.asarray(k, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         ika = 1j * k * magnitudes
-        values = ika * h.T.reshape(shape)
-        radial_derivatives = ika * hp.T.reshape(shape) * k
+        values = ika * h
+        radial_derivatives = ika * hp * k
     if not (np.isfinite(values).all() and np.isfinite(radial_derivatives).all()):
         raise CapacityError("near-field trace exceeds the floating range")
     return values, radial_derivatives
@@ -97,8 +117,9 @@ def sobolev_norm_sq(values, l: int, R: float):
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainError(f"Sobolev order l must be a nonnegative integer, got {l!r}")
     require_positive(R=R)
+    values = _per_degree(values, "values")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
-        v = np.abs(np.asarray(values)) ** 2
+        v = np.abs(values) ** 2
         n_over_R = np.arange(v.shape[-1]) / R
         total = 0.0
         for m in range(l + 1):
@@ -120,7 +141,7 @@ def split_spectrum(magnitudes, k, R: float) -> SpectralSplit:
     the fields of the split are arrays over those axes, or scalars for one
     1-D array."""
     N = default_cutoff(k, R)
-    magnitudes = np.asarray(magnitudes)
+    magnitudes = _per_degree(magnitudes, "magnitudes")
     low = np.arange(magnitudes.shape[-1]) <= np.asarray(N)[..., None]
     # an overflow is reported below as a CapacityError; eps2 = 0 gives E = +inf
     with np.errstate(over="ignore", divide="ignore"):

@@ -48,6 +48,18 @@ def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _DEGREE[:size], _ORDER[:size]
 
 
+def stacked_index(max_degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum j and degree n of each slot of the packed arrays of spectra
+    of degrees max_degrees[j], concatenated in that order (the degrees are
+    those of `packed_index` of each spectrum, one after another). Every
+    degree is checked as `packed_index` checks it."""
+    for max_degree in set(max_degrees):
+        require_order(max_degree, "max_degree")
+    sizes = [(max_degree + 1) ** 2 for max_degree in max_degrees]
+    return (np.repeat(np.arange(len(sizes)), sizes),
+            np.concatenate([_DEGREE[:0], *(_DEGREE[:size] for size in sizes)]))
+
+
 def _index_pair(key) -> tuple[int, int]:
     """The (n, m) of a key, which must be a pair of integers with |m| <= n."""
     try:
@@ -169,8 +181,19 @@ def conjugate_mirror(spectrum: CoefficientSpectrum) -> CoefficientSpectrum:
 def aggregate(spectrum: CoefficientSpectrum) -> np.ndarray:
     """Collapse orders into per-degree magnitudes (Pythagorean sum): the
     array a_n = (sum_m |a_{m,n}|^2)^(1/2), n = 0..max_degree."""
+    return aggregate_bins(spectrum.coefficients, spectrum.degrees, spectrum.max_degree + 1)
+
+
+def aggregate_bins(coefficients: np.ndarray, bins: np.ndarray, size: int) -> np.ndarray:
+    """`aggregate` of many spectra at once: for each of `size` bins, the
+    Pythagorean sum of the coefficients whose slot `bins` puts in it (a 1-D
+    array of the coefficients' length). Each bin sums its slots in slot
+    order, as `aggregate` does, so with bins j * width + n over concatenated
+    or stacked packed arrays, bin j * width + n is bit-equal to degree n of
+    `aggregate` of spectrum j."""
+    weights = np.abs(coefficients)
     with np.errstate(over="ignore"):  # reported below as a CapacityError
-        sq = np.bincount(spectrum.degrees, weights=np.abs(spectrum.coefficients) ** 2)
+        sq = np.bincount(bins, weights=np.square(weights, out=weights), minlength=size)
     if not np.all(np.isfinite(sq)):
         raise CapacityError("per-degree spectrum energy exceeds the floating range")
     return np.sqrt(sq)

@@ -6,6 +6,15 @@ All randomness flows through numpy SeedSequences derived from
 (master seed, k index, replicate index), so sweep output is bit-identical
 across runs and does not depend on the order in which wavenumbers are
 processed.
+
+Replicates and ensemble members are batched, not looped over: a sweep
+takes the gains of all K wavenumbers from one Hankel table (a K x (L+1)
+array), holds one wavenumber's S replicates as the rows of one
+(S x (L+1)^2) packed array, and splits and budgets the stacked
+(K x S x (L+1)) magnitudes in one call each; an ensemble rescales its
+members' concatenated packed arrays in one pass. Each row, and each
+member, is bit-equal to the scalar call it replaces: `perturb` and
+`make_spectrum` are the one-row calls of the same helpers.
 """
 
 from __future__ import annotations
@@ -17,11 +26,15 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from .harmonics import CoefficientSpectrum, aggregate, conjugate_mirror, packed_index
-from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_inverse
+from .harmonics import (CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index,
+                        stacked_index)
+from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_quotient
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
                         verify_ensemble)
 from .util import require_finite, require_positive
+
+
+_DECAY_KINDS = ("exponential", "algebraic")
 
 
 @dataclass(frozen=True)
@@ -37,13 +50,20 @@ class DecayProfile:
     amplitude: float = 1.0
 
     def degree_magnitudes(self) -> np.ndarray:
-        n = np.arange(self.max_degree + 1, dtype=float)
-        if self.kind == "exponential":
-            with np.errstate(over="ignore"):  # rate * n = inf gives e^(-inf) = 0, as it should
-                return self.amplitude * np.exp(-self.rate * n)
-        if self.kind == "algebraic":
-            return self.amplitude * (1.0 + n) ** (-self.rate)
-        raise DomainError(f"unknown decay kind {self.kind!r}")
+        return _decay(self.kind, self.rate, self.amplitude, self.max_degree)
+
+
+def _decay(kind: str, rate, amplitude, max_degree: int) -> np.ndarray:
+    """The magnitudes of a decay profile for n = 0..max_degree along the
+    last axis; a column of rates gives one row per rate, each bit-equal to
+    the profile of that one rate."""
+    n = np.arange(max_degree + 1, dtype=float)
+    if kind == "exponential":
+        with np.errstate(over="ignore"):  # rate * n = inf gives e^(-inf) = 0, as it should
+            return amplitude * np.exp(-rate * n)
+    if kind == "algebraic":
+        return amplitude * (1.0 + n) ** (-rate)
+    raise DomainError(f"unknown decay kind {kind!r}")
 
 
 def _validate_profile(profile: DecayProfile) -> None:
@@ -54,26 +74,44 @@ def _validate_profile(profile: DecayProfile) -> None:
         raise DomainError(f"profile seed must be nonnegative, got {profile.seed}")
 
 
-def _complex_normals(rng: np.random.Generator, max_degree: int) -> np.ndarray:
-    """A complex normal for every packed slot, from one draw in degree
-    order: degree n's 2n+1 real parts, then its 2n+1 imaginary parts."""
-    degree, order = packed_index(max_degree)
-    draws = rng.standard_normal(2 * (max_degree + 1) ** 2)
-    real = 2 * degree * degree + degree + order  # degree n's draws start at 2n^2
-    return draws[real] + 1j * draws[real + 2 * degree + 1]
+def _pieces(array: np.ndarray, sizes) -> list[np.ndarray]:
+    """Consecutive views of a 1-D array, of the given sizes (np.split
+    costs several numpy calls per piece)."""
+    ends = np.cumsum(sizes).tolist()
+    return [array[end - size : end] for size, end in zip(np.asarray(sizes).tolist(), ends)]
 
 
-def _with_degree_magnitudes(raw: np.ndarray, target: np.ndarray) -> CoefficientSpectrum:
-    """The packed array `raw` with each degree n rescaled to aggregate
-    magnitude target[n]; a degree with zero energy or target stays zero."""
-    spectrum = CoefficientSpectrum.from_packed(raw)
-    norm = aggregate(spectrum)
+def _complex_normals(seeds, max_degrees) -> np.ndarray:
+    """A complex normal for every slot of the packed arrays of spectra of
+    degrees max_degrees, concatenated in order. Spectrum j's come from one
+    standard_normal draw of default_rng(seeds[j]), in degree order: degree
+    n's 2n+1 real parts, then its 2n+1 imaginary parts."""
+    degree = stacked_index(max_degrees)[1]
+    sizes = (np.asarray(max_degrees) + 1) ** 2
+    draws = np.empty(2 * degree.size)
+    for seed, part in zip(seeds, _pieces(draws, 2 * sizes)):
+        np.random.default_rng(seed).standard_normal(out=part)
+    # a spectrum whose first slot is f draws from 2f on, and its degree n
+    # from 2f + 2n^2 on: slot g = f + n^2 + n + m draws its real part at
+    # g + f + n^2 and its imaginary part 2n + 1 later
+    real = np.arange(degree.size) + np.repeat(np.cumsum(sizes) - sizes, sizes) + degree * degree
+    normals = draws[real + 2 * degree + 1] * 1j
+    normals += draws[real]  # in place, with no third array as long as the draws
+    return normals
+
+
+def _with_degree_magnitudes(raw: np.ndarray, bins: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The packed coefficients `raw`, rescaled in place so that the slots of
+    each bin have aggregate magnitude target[bin] (`harmonics.aggregate_bins`);
+    a bin with zero energy or target stays zero. One spectrum's bins are its
+    degrees."""
+    norm = aggregate_bins(raw, bins, target.size)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         scale = np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0.0)
-        coefficients = raw * scale[spectrum.degrees]
-    if not np.isfinite(coefficients).all():
+        raw *= scale[bins]
+    if not np.isfinite(raw).all():
         raise CapacityError("a coefficient of the target magnitudes exceeds the floating range")
-    return CoefficientSpectrum.from_packed(coefficients)
+    return raw
 
 
 def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
@@ -81,9 +119,10 @@ def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
     exactly: orders within each degree carry random complex directions
     renormalized to the target magnitude."""
     _validate_profile(profile)
-    rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
-    raw = _complex_normals(rng, profile.max_degree)
-    return _with_degree_magnitudes(raw, profile.degree_magnitudes())
+    raw = _complex_normals([np.random.SeedSequence(profile.seed)], [profile.max_degree])
+    degrees = packed_index(profile.max_degree)[0]
+    return CoefficientSpectrum.from_packed(
+        _with_degree_magnitudes(raw, degrees, profile.degree_magnitudes()))
 
 
 def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
@@ -98,20 +137,36 @@ def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
     upper = CoefficientSpectrum.from_packed(  # d_{n,|m|} in both slots n, +-m
         draws[imag - (order != 0)] + 1j * np.where(order != 0, draws[imag], 0.0))
     raw = np.where(order < 0, conjugate_mirror(upper).coefficients, upper.coefficients)
-    return BoundaryPerturbation(_with_degree_magnitudes(raw, profile.degree_magnitudes()))
+    return BoundaryPerturbation(CoefficientSpectrum.from_packed(
+        _with_degree_magnitudes(raw, degree, profile.degree_magnitudes())))
+
+
+def _check_noise_level(delta: float) -> None:
+    require_finite(delta=delta)
+    if delta < 0:
+        raise DomainError("noise level delta must be nonnegative")
+
+
+def _with_noise(coefficients: np.ndarray, delta: float, seeds) -> np.ndarray:
+    """One row per seed: the packed `coefficients` plus complex normals
+    drawn from default_rng(seed), rescaled so the added coefficient energy
+    is exactly delta^2. The rows are C-contiguous, so each row's energy is
+    summed pairwise, as np.sum sums one 1-D array."""
+    max_degree = math.isqrt(len(coefficients)) - 1
+    noise = _complex_normals(seeds, [max_degree] * len(seeds)).reshape(len(seeds), -1)
+    energy = np.sum(np.abs(noise) ** 2, axis=-1)
+    noise *= (delta / np.sqrt(energy))[:, None]
+    noise += coefficients  # in place, so one (seeds x slots) array serves
+    return noise
 
 
 def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpectrum:
     """Add random noise across all indices up to max_degree, rescaled so
     the added coefficient energy is exactly delta^2."""
-    require_finite(delta=delta)
-    if delta < 0:
-        raise DomainError("noise level delta must be nonnegative")
+    _check_noise_level(delta)
     if delta == 0.0:
         return spectrum
-    rng = np.random.default_rng(seed)
-    noise = CoefficientSpectrum.from_packed(_complex_normals(rng, spectrum.max_degree))
-    return spectrum + noise.scaled(delta / math.sqrt(noise.energy()))
+    return CoefficientSpectrum.from_packed(_with_noise(spectrum.coefficients, delta, [seed])[0])
 
 
 @dataclass(frozen=True)
@@ -149,7 +204,21 @@ def ksweep(
     the recovered perturbation (T2-style Hoelder term for the soft kind),
     evaluated with the spectral split of the noisy amplitude and the
     first-order norm of the recovered perturbation; lhs is that squared
-    surface norm itself."""
+    surface norm itself.
+
+    Rows come in ascending k, replicates in order. The gains of every
+    wavenumber come from one Hankel table. Per wavenumber, the replicates
+    are the rows of one (seeds x slots) array: replicate rep's noise is
+    drawn from SeedSequence(entropy=master_seed, spawn_key=(k_index, rep)),
+    with k_index the wavenumber's position in k_list, and the noisy,
+    recovered and error magnitudes of all replicates come from one
+    bincount each. The split, the norms and the budget are one call each
+    on the stacked (wavenumber x seeds x degree) magnitudes. Every row is
+    bit-equal to a per-replicate evaluation, and does not depend on the
+    number of replicates or on the other wavenumbers. A sweep with one
+    failing wavenumber raises what that wavenumber raises alone; with
+    several, the first stage that fails (the gains, the forward maps, the
+    noise level, the inverse, the split, the norms, the budget) raises."""
     if not k_list:
         raise DomainError("k_list must be nonempty")
     if seeds < 1:
@@ -157,35 +226,56 @@ def ksweep(
     if master_seed < 0:
         raise DomainError(f"master seed must be nonnegative, got {master_seed}")
 
-    # ascending k: a kR below KR_MIN_ESTIMATES fails the first estimate called
-    rows = []
-    for k_index in sorted(range(len(k_list)), key=lambda i: k_list[i]):
-        k = float(k_list[k_index])
-        # one diagonal gain per wavenumber serves the forward map and
-        # every replicate's inverse
-        factors = gain(kind, k, R, d.spectrum.max_degree)
-        amplitude = apply_gain(d.spectrum, factors)
-        n_cut = default_cutoff(k, R)
-        magnitudes = []  # per replicate: the noisy amplitude, the recovery and its error
-        for rep in range(seeds):
-            child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
-            noisy = perturb(amplitude, delta, child)
-            recovered = truncated_inverse(noisy, factors, n_cut).spectrum
-            magnitudes.append([aggregate(spectrum)
-                               for spectrum in (noisy, recovered, recovered - d.spectrum)])
-        noisy_rows, recovered_rows, error_rows = np.moveaxis(np.array(magnitudes), 1, 0)
-        split = split_spectrum(noisy_rows, k, R)
-        lhs = sobolev_norm_sq(recovered_rows, 0, R)
-        d_norm1 = sobolev_norm(recovered_rows, 1, R)
-        if kind == "soft":
-            terms = corollary_soft_terms(split.eps1, split.eps2, split.E, k, R, d_norm1,
-                                         variant="T2")
+    order = sorted(range(len(k_list)), key=lambda i: k_list[i])
+    ks = np.array([float(k_list[i]) for i in order])
+    L = d.spectrum.max_degree
+    # one diagonal gain per wavenumber serves the forward map and every
+    # replicate's inverse
+    factors = gain(kind, ks, R, L)
+    amplitudes = [apply_gain(d.spectrum, row) for row in factors]
+    cutoffs = default_cutoff(ks, R)
+    _check_noise_level(delta)
+
+    # (noisy, recovered, error) x wavenumber x replicate x degree; the
+    # slot-level arrays are one wavenumber's at a time, and never a
+    # (wavenumber x replicate x slot) tensor
+    magnitudes = np.empty((3, len(ks), seeds, L + 1))
+    bins = (np.arange(seeds)[:, None] * (L + 1) + packed_index(L)[0]).ravel()
+
+    def per_degree(rows: np.ndarray) -> np.ndarray:
+        return aggregate_bins(rows.ravel(), bins, seeds * (L + 1)).reshape(seeds, L + 1)
+
+    for i, (k_index, amplitude) in enumerate(zip(order, amplitudes)):
+        if delta == 0.0:
+            noisy = np.tile(amplitude.coefficients, (seeds, 1))
         else:
-            terms = corollary_hard_terms(split.eps1, split.eps2, split.E, k, R, d_norm1)
-        err = sobolev_norm(error_rows, 0, R)
-        columns = (split.eps1, split.eps2, split.E, lhs, *terms, terms.total, err)
-        for rep, values in enumerate(zip(*(column.tolist() for column in columns))):
-            rows.append(SweepRow(k, rep, split.N, *values))
+            streams = [np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
+                       for rep in range(seeds)]
+            noisy = _with_noise(amplitude.coefficients, delta, streams)
+        recovered = truncated_quotient(noisy, factors[i], int(cutoffs[i]))
+        magnitudes[0, i] = per_degree(noisy)
+        magnitudes[1, i] = per_degree(recovered)
+        recovered -= d.spectrum.coefficients  # the error, in place
+        magnitudes[2, i] = per_degree(recovered)
+        del noisy, recovered  # before the next wavenumber's arrays are made
+    noisy_rows, recovered_rows, error_rows = magnitudes
+
+    k_column = ks[:, None]
+    split = split_spectrum(noisy_rows, k_column, R)
+    lhs = sobolev_norm_sq(recovered_rows, 0, R)
+    d_norm1 = sobolev_norm(recovered_rows, 1, R)
+    if kind == "soft":
+        terms = corollary_soft_terms(split.eps1, split.eps2, split.E, k_column, R, d_norm1,
+                                     variant="T2")
+    else:
+        terms = corollary_hard_terms(split.eps1, split.eps2, split.E, k_column, R, d_norm1)
+    err = sobolev_norm(error_rows, 0, R)
+    columns = (split.eps1, split.eps2, split.E, lhs, *terms, terms.total, err)
+    rows = []
+    for k, N, *per_k in zip(ks.tolist(), np.ravel(split.N).tolist(),
+                            *(column.tolist() for column in columns)):
+        for rep, values in enumerate(zip(*per_k)):
+            rows.append(SweepRow(k, rep, int(N), *values))
     return rows
 
 
@@ -197,7 +287,13 @@ def random_ensemble(
 
     Spectra are rescaled to total coefficient energy below one: the
     estimates live in the small-data regime eps2 < 1 (so E > 0), and the
-    derivative estimate in particular needs E + k > 1."""
+    derivative estimate in particular needs E + k > 1.
+
+    Each member takes its profile, k and target norm from the master
+    stream in turn, and its normals from its own profile seed; the
+    members' packed arrays are then rescaled in one pass over their
+    concatenation, each bit-equal to `make_spectrum` of its profile scaled
+    to its target norm. The spectra are views into that one array."""
     if size < 1:
         raise DomainError("ensemble size must be at least 1")
     lo, hi = kr_range
@@ -205,19 +301,29 @@ def random_ensemble(
     if lo < KR_MIN_ESTIMATES or hi < lo:
         raise DomainError(f"kR range must satisfy {KR_MIN_ESTIMATES:g} <= lo <= hi, got [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(size):
-        profile = DecayProfile(
-            kind=str(rng.choice(["exponential", "algebraic"])),
-            rate=float(rng.uniform(0.3, 1.5)),
-            max_degree=int(rng.integers(1, 31)),
-            seed=int(rng.integers(0, 2**63)),
-        )
-        k = float(rng.uniform(lo, hi))
-        spectrum = make_spectrum(profile)
-        target = float(rng.uniform(0.05, 0.95))
-        out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
-    return out
+    # per member, in this order: decay kind, rate, max degree, profile
+    # seed, k and target norm
+    draws = [(int(rng.integers(0, 2)), float(rng.uniform(0.3, 1.5)), int(rng.integers(1, 31)),
+              int(rng.integers(0, 2**63)), float(rng.uniform(lo, hi)),
+              float(rng.uniform(0.05, 0.95))) for _ in range(size)]
+    kinds, rates, max_degrees, profile_seeds, ks, norms = zip(*draws)
+
+    raw = _complex_normals([np.random.SeedSequence(s) for s in profile_seeds], max_degrees)
+    # each member's profile, padded to the widest, and each slot's bin in it
+    width = max(max_degrees) + 1
+    target = np.empty((size, width))
+    for index, kind in enumerate(_DECAY_KINDS):
+        rows = np.array(kinds) == index
+        target[rows] = _decay(kind, np.array(rates)[rows, None], 1.0, width - 1)
+    member, degree = stacked_index(max_degrees)
+    coefficients = _with_degree_magnitudes(raw, member * width + degree, target.ravel())
+    # one pairwise sum per member, as energy() sums it; np.add.reduceat
+    # would round differently
+    sizes = (np.array(max_degrees) + 1) ** 2
+    energy = [float(np.sum(part)) for part in _pieces(np.abs(coefficients) ** 2, sizes)]
+    coefficients *= np.repeat(np.array(norms) / np.sqrt(energy), sizes)
+    return [(CoefficientSpectrum.from_packed(part), k)
+            for part, k in zip(_pieces(coefficients, sizes), ks)]
 
 
 def ensemble_verify(

@@ -15,13 +15,14 @@ k^2 i H_n'(kR) (hard); neither factor has positive real zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, hankel_factors
-from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, synthesize
+from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, packed_index, synthesize
 from .specfun import N_MAX_SUPPORTED, require_order
 from .util import require_positive
 
@@ -74,14 +75,23 @@ def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     return IncidentWave(kind=kind, k=k, R=R, trace_value=value, trace_radial_derivative=derivative)
 
 
-def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
+def gain(kind: str, k, R: float, max_degree: int) -> np.ndarray:
     """Per-degree factor mapping d_{m,n} to the far-field a_{m,n} of the
-    soft or hard obstacle."""
-    wave = incident_trace(kind, k, R)
+    soft or hard obstacle, for n = 0..max_degree along the last axis: an
+    array of shape (max_degree + 1,) for a float k, and one such row per
+    wavenumber of a 1-D k array, from one Hankel table, each row bit-equal
+    to the scalar call."""
+    # each wavenumber's boundary factor is complex arithmetic on Python
+    # floats, which rounds differently from numpy's complex division
+    waves = [incident_trace(kind, wavenumber, R) for wavenumber in np.ravel(k).tolist()]
     h, hp = hankel_factors(max_degree, k, R)
+    column = np.shape(k) + (1,)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
-        factors = (-wave.trace_radial_derivative / (1j * k * h) if kind == "soft"
-                   else wave.trace_value / (1j * hp))
+        if kind == "soft":
+            boundary = np.reshape([-wave.trace_radial_derivative for wave in waves], column)
+            factors = boundary / (1j * np.reshape(k, column) * h)
+        else:
+            factors = np.reshape([wave.trace_value for wave in waves], column) / (1j * hp)
     # an inverse would divide by an infinite gain and silently return zero
     if not np.isfinite(factors).all():
         raise CapacityError(f"a {kind}-obstacle gain exceeds the floating range")
@@ -101,15 +111,26 @@ def truncated_inverse(
     amplitude: CoefficientSpectrum, factors: np.ndarray, n_cut: int
 ) -> BoundaryPerturbation:
     """Divide the degrees n <= n_cut by their gain and drop the rest."""
+    return BoundaryPerturbation(CoefficientSpectrum.from_packed(
+        truncated_quotient(amplitude.coefficients, factors, n_cut)))
+
+
+def truncated_quotient(coefficients: np.ndarray, factors: np.ndarray, n_cut: int) -> np.ndarray:
+    """Packed coefficients along the last axis (one spectrum, or one per
+    row) with each degree n <= n_cut divided by its gain factors[n] and
+    every degree above n_cut zero: the coefficients of `truncated_inverse`,
+    row by row bit-equal to it."""
     # a cutoff above the degree cap is valid: it keeps every degree
     require_order(min(n_cut, N_MAX_SUPPORTED), "cutoff n_cut")
-    kept = amplitude.degrees <= n_cut
-    d = np.zeros_like(amplitude.coefficients)
+    max_degree = math.isqrt(coefficients.shape[-1]) - 1
+    kept = (min(n_cut, max_degree) + 1) ** 2  # packing is degree-major: the kept slots lead
+    d = np.zeros_like(coefficients)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
-        d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
+        np.divide(coefficients[..., :kept], factors[packed_index(max_degree)[0][:kept]],
+                  out=d[..., :kept])
     if not np.isfinite(d).all():
         raise CapacityError("a recovered coefficient exceeds the floating range")
-    return BoundaryPerturbation(CoefficientSpectrum.from_packed(d))
+    return d
 
 
 def forward_soft(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpectrum:

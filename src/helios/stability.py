@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import near_field_trace, sobolev_norm_sq, split_spectrum
-from .harmonics import CoefficientSpectrum, aggregate
+from .harmonics import CoefficientSpectrum, aggregate_bins, stacked_index
 from .specfun import N_MAX_SUPPORTED
 from .util import require_finite, require_positive
 
@@ -150,17 +150,21 @@ def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str
 def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
     """`verify_theorem` for every (CoefficientSpectrum, k) pair of
     `members` on one sphere of radius R, as column operations on one
-    member x degree matrix of aggregate magnitudes and its
-    `near_field_trace`. Every row is padded to degree N_MAX_SUPPORTED and
+    member x degree matrix of aggregate magnitudes, from one bincount over
+    the members' concatenated coefficients, and its `near_field_trace`.
+    Every row is padded to degree N_MAX_SUPPORTED and
     every trace comes from one Hankel table to that degree, so no sum over
     a row depends on the other members: each report equals that of
     `verify_theorem` bit for bit."""
     if which not in _RHS:
         raise DomainError(f"unknown estimate {which!r} (expected T1, T2, or T1der)")
     ks = np.array([k for _, k in members], dtype=float)
-    magnitudes = np.zeros((len(members), N_MAX_SUPPORTED + 1))
-    for row, (spectrum, _) in zip(magnitudes, members):
-        row[: spectrum.max_degree + 1] = aggregate(spectrum)
+    width = N_MAX_SUPPORTED + 1
+    member, degree = stacked_index([spectrum.max_degree for spectrum, _ in members])
+    coefficients = np.concatenate([np.zeros(0, complex)]  # an empty ensemble has no arrays
+                                  + [spectrum.coefficients for spectrum, _ in members])
+    magnitudes = aggregate_bins(coefficients, member * width + degree, len(members) * width
+                                ).reshape(len(members), width)
     split = split_spectrum(magnitudes, ks, R)  # also checks kR against field.KR_MIN
     values, radial_derivatives = near_field_trace(magnitudes, ks, R)
     trace = radial_derivatives if which == "T1der" else values

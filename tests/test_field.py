@@ -88,8 +88,32 @@ def test_trace_overflow_raises_capacity_error():
     # |u_0(R)| = a_0 sqrt(2/pi) / R = 8e308 exceeds the floating range
     with pytest.raises(CapacityError, match="near-field trace exceeds the floating range"):
         near_field_trace(np.array([1e308]), 1.0, 0.1)
-    with pytest.raises(CapacityError):
-        near_field_trace(np.array([[1.0], [math.nan]]), np.array([4.0, 4.0]), 1.0)
+
+
+# the three entry points that take an array indexed by degree, each with
+# its arguments around the array
+PER_DEGREE_ENTRY_POINTS = {
+    "sobolev_norm_sq": lambda a: sobolev_norm_sq(a, 1, 1.0),
+    "split_spectrum": lambda a: split_spectrum(a, 4.0, 1.0),
+    "near_field_trace": lambda a: near_field_trace(a, np.full(np.shape(a)[:-1], 4.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("entry", PER_DEGREE_ENTRY_POINTS.values(), ids=PER_DEGREE_ENTRY_POINTS)
+def test_a_zero_dimensional_array_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match="indexed by degree along a last axis"):
+        entry(np.array(1.0))
+
+
+@pytest.mark.parametrize("entry", PER_DEGREE_ENTRY_POINTS.values(), ids=PER_DEGREE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_is_a_domain_error(entry, bad):
+    for array in (np.array([1.0, bad]), np.array([[1.0, 2.0], [bad, 1.0]])):
+        with pytest.raises(DomainError, match="must be finite"):
+            entry(array)
+    if entry is PER_DEGREE_ENTRY_POINTS["sobolev_norm_sq"]:  # trace values are complex
+        with pytest.raises(DomainError, match="must be finite"):
+            entry(np.array([1.0, complex(1.0, bad)]))
 
 
 def test_sobolev_single_degree():
@@ -259,6 +283,40 @@ def test_hankel_factors_is_a_table_column():
     values, derivatives = hankel_table(12, [4.5])
     assert np.array_equal(h, values[:, 0])
     assert np.array_equal(hp, derivatives[:, 0])
+
+
+@pytest.mark.parametrize("max_degree", [0, 7, 30, 60])
+@pytest.mark.parametrize("R", [0.7, 1.0, 2.5])
+def test_hankel_factors_of_a_k_array_equal_the_scalar_calls(max_degree, R):
+    ks = np.array([3.3, 0.2, 41.7, 7.1, 1e5])
+    h, hp = hankel_factors(max_degree, ks, R)
+    assert h.shape == hp.shape == (len(ks), max_degree + 1)
+    for row, k in enumerate(ks.tolist()):
+        scalar_h, scalar_hp = hankel_factors(max_degree, k, R)
+        assert h[row].tobytes() == scalar_h.tobytes()
+        assert hp[row].tobytes() == scalar_hp.tobytes()
+
+
+@pytest.mark.parametrize("k, R, error, message", [
+    (0.05, 1.0, DomainError, "kR = 0.05 below supported minimum 0.1"),
+    (1e300, 1e10, CapacityError, "kR exceeds the floating range"),
+    (math.nan, 1.0, DomainError, "k must be finite, got k=nan"),
+    (-1.0, 1.0, DomainError, "k must be positive, got k=-1.0"),
+    (4.0, math.inf, DomainError, "R must be finite, got R=inf"),
+])
+def test_the_kr_check_raises_alike_for_floats_and_arrays(k, R, error, message):
+    # a Python float takes the scalar path; numpy scalars, 0-d and 1-d arrays
+    # take the array path, and both end in the same class and message
+    for form in (float, np.float64, np.array, lambda x: np.array([4.0, x])):
+        with pytest.raises(error) as caught:
+            default_cutoff(form(k), R)
+        assert str(caught.value) == message
+
+
+def test_the_kr_check_returns_the_product():
+    assert field._check_kR(4.0, 0.25) == 1.0
+    assert field._check_kR(0.1, 1.0) == 0.1  # the floor itself is supported
+    assert default_cutoff(2.0, 1.0) == 1 and isinstance(default_cutoff(2.0, 1.0), int)
 
 
 def test_norm_identity_computes_factors_once(monkeypatch, grid20):

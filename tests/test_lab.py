@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from helios import lab, obstacle
 from helios.errors import DomainError
-from helios.harmonics import aggregate
+from helios.field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
+from helios.harmonics import CoefficientSpectrum, aggregate, aggregate_bins, stacked_index
 from helios.lab import (
     DecayProfile,
+    SweepRow,
     ensemble_verify,
     ksweep,
     make_real_perturbation,
@@ -15,6 +18,7 @@ from helios.lab import (
     mean_errors_by_k,
     perturb,
 )
+from helios.stability import corollary_hard_terms, corollary_soft_terms
 
 CANONICAL_PROFILE = DecayProfile("exponential", 1.0, 10, seed=7)
 
@@ -142,12 +146,13 @@ def test_sweep_validation():
 
 
 def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
-    # the forward map and every replicate's inverse share one gain per k
+    # one Hankel table serves every wavenumber: the forward maps and every
+    # replicate's inverse share one gain per k, all from one call
     calls = []
     real = obstacle.hankel_factors
 
     def counted(max_degree, k, R):
-        calls.append(k)
+        calls.append(np.array(k).tolist())
         return real(max_degree, k, R)
 
     monkeypatch.setattr(obstacle, "hankel_factors", counted)
@@ -156,7 +161,7 @@ def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
         calls.clear()
         rows = ksweep(d, 1.0, [8.0, 2.0, 4.0], delta=1e-3, seeds=5, kind=kind)
         assert len(rows) == 15
-        assert calls == [2.0, 4.0, 8.0]
+        assert calls == [[2.0, 4.0, 8.0]]
 
 
 def test_ensemble_small():
@@ -281,7 +286,7 @@ def test_generators_match_the_per_degree_loops(kind, rate, amplitude, max_degree
 @pytest.mark.parametrize("max_degree", LOOP_DEGREES)
 def test_draw_order_is_the_loops(max_degree):
     for seed in range(5):
-        new = lab._complex_normals(np.random.default_rng(seed), max_degree)
+        new = lab._complex_normals([seed], [max_degree])
         old = loop_normals(np.random.default_rng(seed), max_degree)
         assert new.tobytes() == old.tobytes()
 
@@ -293,3 +298,144 @@ def test_perturb_matches_the_per_degree_loop(max_degree):
         child = np.random.SeedSequence(entropy=seed, spawn_key=(1, 2))
         noisy = perturb(spectrum, 1e-3, child).coefficients
         assert_matches_loop(noisy, loop_perturb(spectrum.coefficients, 1e-3, child))
+
+
+# The per-replicate sweep loop and the per-member ensemble builder that the
+# batched versions replaced, frozen as the reference: the same streams and
+# the same arithmetic, one replicate, wavenumber and member at a time. The
+# batched versions must equal them bit for bit.
+def frozen_perturb(spectrum, delta, seed):
+    if delta == 0.0:
+        return spectrum
+    noise = CoefficientSpectrum.from_packed(
+        loop_normals(np.random.default_rng(seed), spectrum.max_degree))
+    return spectrum + noise.scaled(delta / math.sqrt(noise.energy()))
+
+
+def frozen_aggregate(spectrum):
+    return np.sqrt(np.bincount(spectrum.degrees, weights=np.abs(spectrum.coefficients) ** 2))
+
+
+def frozen_truncated_inverse(amplitude, factors, n_cut):
+    kept = amplitude.degrees <= n_cut
+    d = np.zeros_like(amplitude.coefficients)
+    d[kept] = amplitude.coefficients[kept] / factors[amplitude.degrees[kept]]
+    return CoefficientSpectrum.from_packed(d)
+
+
+def frozen_ksweep(d, R, k_list, delta, seeds, master_seed=0, kind="soft"):
+    rows = []
+    for k_index in sorted(range(len(k_list)), key=lambda i: k_list[i]):
+        k = float(k_list[k_index])
+        factors = obstacle.gain(kind, k, R, d.spectrum.max_degree)
+        amplitude = obstacle.apply_gain(d.spectrum, factors)
+        n_cut = default_cutoff(k, R)
+        magnitudes = []
+        for rep in range(seeds):
+            child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
+            noisy = frozen_perturb(amplitude, delta, child)
+            recovered = frozen_truncated_inverse(noisy, factors, n_cut)
+            magnitudes.append([frozen_aggregate(spectrum)
+                               for spectrum in (noisy, recovered, recovered - d.spectrum)])
+        noisy_rows, recovered_rows, error_rows = np.moveaxis(np.array(magnitudes), 1, 0)
+        split = split_spectrum(noisy_rows, k, R)
+        lhs = sobolev_norm_sq(recovered_rows, 0, R)
+        d_norm1 = sobolev_norm(recovered_rows, 1, R)
+        if kind == "soft":
+            terms = corollary_soft_terms(split.eps1, split.eps2, split.E, k, R, d_norm1,
+                                         variant="T2")
+        else:
+            terms = corollary_hard_terms(split.eps1, split.eps2, split.E, k, R, d_norm1)
+        err = sobolev_norm(error_rows, 0, R)
+        columns = (split.eps1, split.eps2, split.E, lhs, *terms, terms.total, err)
+        for rep, values in enumerate(zip(*(column.tolist() for column in columns))):
+            rows.append(SweepRow(k, rep, split.N, *values))
+    return rows
+
+
+def frozen_make_spectrum(profile):
+    raw = loop_normals(np.random.default_rng(np.random.SeedSequence(profile.seed)),
+                       profile.max_degree)
+    spectrum = CoefficientSpectrum.from_packed(raw)
+    norm = frozen_aggregate(spectrum)
+    scale = np.divide(profile.degree_magnitudes(), norm, out=np.zeros_like(norm),
+                      where=norm > 0.0)
+    return CoefficientSpectrum.from_packed(raw * scale[spectrum.degrees])
+
+
+def frozen_random_ensemble(size, seed, kr_range=(2.0, 100.0)):
+    lo, hi = kr_range
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(size):
+        profile = DecayProfile(
+            kind=str(rng.choice(["exponential", "algebraic"])),
+            rate=float(rng.uniform(0.3, 1.5)),
+            max_degree=int(rng.integers(1, 31)),
+            seed=int(rng.integers(0, 2**63)),
+        )
+        k = float(rng.uniform(lo, hi))
+        spectrum = frozen_make_spectrum(profile)
+        target = float(rng.uniform(0.05, 0.95))
+        out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
+    return out
+
+
+def bits(rows):
+    """Every field of every row, as the bytes of a float (N and replicate too)."""
+    return np.array([dataclasses.astuple(row) for row in rows], dtype=float).tobytes()
+
+
+SWEEP_PROFILE = DecayProfile("algebraic", 1.3, 13, seed=11)
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+@pytest.mark.parametrize("R, k_list", [(0.7, [12.9, 3.3, 41.7, 7.1]), (2.5, [5.5, 1.3, 23.0])])
+@pytest.mark.parametrize("delta, seeds", [(1e-3, 4), (0.0, 3), (2e-2, 1)])
+def test_sweep_equals_the_per_replicate_loop(kind, R, k_list, delta, seeds):
+    d = make_real_perturbation(SWEEP_PROFILE)
+    for master_seed in (0, 9):
+        new = ksweep(d, R, k_list, delta, seeds, master_seed=master_seed, kind=kind)
+        old = frozen_ksweep(d, R, k_list, delta, seeds, master_seed=master_seed, kind=kind)
+        assert len(new) == len(k_list) * seeds
+        assert bits(new) == bits(old)
+        assert [type(row.N) for row in new] == [int] * len(new)
+
+
+def test_the_canonical_sweep_equals_the_per_replicate_loop():
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    for kind in ("soft", "hard"):
+        args = (d, 1.0, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0], 1e-3, 20)
+        assert bits(ksweep(*args, kind=kind)) == bits(frozen_ksweep(*args, kind=kind))
+
+
+@pytest.mark.parametrize("size, seed", [(1, 0), (1, 5), (37, 0), (37, 2024)])
+def test_ensemble_equals_the_per_member_builder(size, seed):
+    new = lab.random_ensemble(size, seed, (2.5, 60.0))
+    old = frozen_random_ensemble(size, seed, (2.5, 60.0))
+    assert [k for _, k in new] == [k for _, k in old]
+    for (spectrum, _), (reference, _) in zip(new, old):
+        assert spectrum.max_degree == reference.max_degree
+        assert spectrum.coefficients.tobytes() == reference.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("max_degree", LOOP_DEGREES)
+def test_make_spectrum_equals_the_per_spectrum_builder(max_degree):
+    for kind, rate, amplitude in LOOP_PROFILES:
+        profile = DecayProfile(kind, rate, max_degree, seed=max_degree + 3, amplitude=amplitude)
+        assert (make_spectrum(profile).coefficients.tobytes()
+                == frozen_make_spectrum(profile).coefficients.tobytes())
+
+
+@pytest.mark.parametrize("size", [1, 37])
+def test_one_bincount_aggregates_each_member(size):
+    # verify_ensemble's aggregation: the members' concatenated coefficients
+    # into bins member * width + degree, against aggregate of each member
+    members = lab.random_ensemble(size, 7)
+    width = 61
+    bins, degree = stacked_index([spectrum.max_degree for spectrum, _ in members])
+    magnitudes = aggregate_bins(np.concatenate([spectrum.coefficients for spectrum, _ in members]),
+                                bins * width + degree, size * width).reshape(size, width)
+    for row, (spectrum, _) in zip(magnitudes, members):
+        assert row[: spectrum.max_degree + 1].tobytes() == frozen_aggregate(spectrum).tobytes()
+        assert not row[spectrum.max_degree + 1 :].any()
