@@ -18,7 +18,6 @@ once, with k broadcast over it; one spectrum is a 1-D array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,13 +45,6 @@ class SpectralSplit:
 def _check_kR(k, R):
     """kR, once k and R are positive and finite and kR >= KR_MIN is finite."""
     require_positive(k=k, R=R)
-    if type(k) is float and type(R) is float:
-        kR = k * R  # the common scalar case, without numpy's call overhead
-        if kR < KR_MIN:
-            raise DomainError(f"kR = {kR} below supported minimum {KR_MIN}")
-        if kR == math.inf:
-            raise CapacityError("kR exceeds the floating range")
-        return kR
     with np.errstate(over="ignore"):  # reported below as a CapacityError
         kR = k * R
     if np.less(kR, KR_MIN).any():
@@ -80,15 +72,11 @@ def default_cutoff(k, R):
     return N if N.ndim else int(N)
 
 
-def hankel_factors(max_degree: int, k, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """H_n(kR) and H_n'(kR) for n = 0..max_degree along the last axis, from
-    one Hankel table: two arrays of shape (max_degree + 1,) for a float k,
-    and of shape np.shape(k * R) + (max_degree + 1,) for an array k, each
-    row bit-equal to the scalar call."""
-    kR = _check_kR(k, R)
-    values, derivatives = hankel_table(max_degree, kR)
-    shape = np.shape(kR) + values.shape[:1]
-    return values.T.reshape(shape), derivatives.T.reshape(shape)
+def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
+    the Hankel table)."""
+    values, derivatives = hankel_table(max_degree, _check_kR(k, R))
+    return values[:, 0], derivatives[:, 0]
 
 
 def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,12 +87,14 @@ def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
     derivative is (i k a_n H_n') * k: k^2 alone overflows for k beyond
     about 1.3e154, where H_n'(kR) ~ 1/(kR) keeps the derivative finite."""
     magnitudes = _per_degree(magnitudes, "magnitudes")
-    h, hp = hankel_factors(magnitudes.shape[-1] - 1, k, R)
+    kR = _check_kR(k, R)
+    h, hp = hankel_table(magnitudes.shape[-1] - 1, kR)
+    shape = np.shape(kR) + h.shape[:1]
     k = np.asarray(k, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
         ika = 1j * k * magnitudes
-        values = ika * h
-        radial_derivatives = ika * hp * k
+        values = ika * h.T.reshape(shape)
+        radial_derivatives = ika * hp.T.reshape(shape) * k
     if not (np.isfinite(values).all() and np.isfinite(radial_derivatives).all()):
         raise CapacityError("near-field trace exceeds the floating range")
     return values, radial_derivatives

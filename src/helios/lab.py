@@ -8,11 +8,10 @@ across runs and does not depend on the order in which wavenumbers are
 processed.
 
 Replicates and ensemble members are batched, not looped over: a sweep
-takes the gains of all K wavenumbers from one Hankel table (a K x (L+1)
-array), holds one wavenumber's S replicates as the rows of one
-(S x (L+1)^2) packed array, and splits and budgets the stacked
-(K x S x (L+1)) magnitudes in one call each; an ensemble rescales its
-members' concatenated packed arrays in one pass. Each row, and each
+holds one wavenumber's S replicates as the rows of one (S x (L+1)^2)
+packed array, and splits and budgets the stacked (K x S x (L+1))
+magnitudes of its K wavenumbers in one call each; an ensemble rescales
+its members' concatenated packed arrays in one pass. Each row, and each
 member, is bit-equal to the scalar call it replaces: `perturb` and
 `make_spectrum` are the one-row calls of the same helpers.
 """
@@ -206,19 +205,19 @@ def ksweep(
     first-order norm of the recovered perturbation; lhs is that squared
     surface norm itself.
 
-    Rows come in ascending k, replicates in order. The gains of every
-    wavenumber come from one Hankel table. Per wavenumber, the replicates
-    are the rows of one (seeds x slots) array: replicate rep's noise is
-    drawn from SeedSequence(entropy=master_seed, spawn_key=(k_index, rep)),
-    with k_index the wavenumber's position in k_list, and the noisy,
-    recovered and error magnitudes of all replicates come from one
-    bincount each. The split, the norms and the budget are one call each
-    on the stacked (wavenumber x seeds x degree) magnitudes. Every row is
-    bit-equal to a per-replicate evaluation, and does not depend on the
-    number of replicates or on the other wavenumbers. A sweep with one
-    failing wavenumber raises what that wavenumber raises alone; with
-    several, the first stage that fails (the gains, the forward maps, the
-    noise level, the inverse, the split, the norms, the budget) raises."""
+    Rows come in ascending k, replicates in order. Per wavenumber, the
+    replicates are the rows of one (seeds x slots) array: replicate rep's
+    noise is drawn from SeedSequence(entropy=master_seed,
+    spawn_key=(k_index, rep)), with k_index the wavenumber's position in
+    k_list, and the noisy, recovered and error magnitudes of all
+    replicates come from one bincount each. The split, the norms and the
+    budget are one call each on the stacked (wavenumber x seeds x degree)
+    magnitudes. Every row is bit-equal to a per-replicate evaluation, and
+    does not depend on the number of replicates or on the other
+    wavenumbers. A sweep with one failing wavenumber raises what that
+    wavenumber raises alone; with several, the first stage that fails
+    (the gains, the forward maps, the noise level, the inverse, the split,
+    the norms, the budget) raises."""
     if not k_list:
         raise DomainError("k_list must be nonempty")
     if seeds < 1:
@@ -231,7 +230,7 @@ def ksweep(
     L = d.spectrum.max_degree
     # one diagonal gain per wavenumber serves the forward map and every
     # replicate's inverse
-    factors = gain(kind, ks, R, L)
+    factors = [gain(kind, k, R, L) for k in ks.tolist()]
     amplitudes = [apply_gain(d.spectrum, row) for row in factors]
     cutoffs = default_cutoff(ks, R)
     _check_noise_level(delta)

@@ -75,23 +75,14 @@ def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     return IncidentWave(kind=kind, k=k, R=R, trace_value=value, trace_radial_derivative=derivative)
 
 
-def gain(kind: str, k, R: float, max_degree: int) -> np.ndarray:
+def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
     """Per-degree factor mapping d_{m,n} to the far-field a_{m,n} of the
-    soft or hard obstacle, for n = 0..max_degree along the last axis: an
-    array of shape (max_degree + 1,) for a float k, and one such row per
-    wavenumber of a 1-D k array, from one Hankel table, each row bit-equal
-    to the scalar call."""
-    # each wavenumber's boundary factor is complex arithmetic on Python
-    # floats, which rounds differently from numpy's complex division
-    waves = [incident_trace(kind, wavenumber, R) for wavenumber in np.ravel(k).tolist()]
+    soft or hard obstacle."""
+    wave = incident_trace(kind, k, R)
     h, hp = hankel_factors(max_degree, k, R)
-    column = np.shape(k) + (1,)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
-        if kind == "soft":
-            boundary = np.reshape([-wave.trace_radial_derivative for wave in waves], column)
-            factors = boundary / (1j * np.reshape(k, column) * h)
-        else:
-            factors = np.reshape([wave.trace_value for wave in waves], column) / (1j * hp)
+        factors = (-wave.trace_radial_derivative / (1j * k * h) if kind == "soft"
+                   else wave.trace_value / (1j * hp))
     # an inverse would divide by an infinite gain and silently return zero
     if not np.isfinite(factors).all():
         raise CapacityError(f"a {kind}-obstacle gain exceeds the floating range")

@@ -285,18 +285,6 @@ def test_hankel_factors_is_a_table_column():
     assert np.array_equal(hp, derivatives[:, 0])
 
 
-@pytest.mark.parametrize("max_degree", [0, 7, 30, 60])
-@pytest.mark.parametrize("R", [0.7, 1.0, 2.5])
-def test_hankel_factors_of_a_k_array_equal_the_scalar_calls(max_degree, R):
-    ks = np.array([3.3, 0.2, 41.7, 7.1, 1e5])
-    h, hp = hankel_factors(max_degree, ks, R)
-    assert h.shape == hp.shape == (len(ks), max_degree + 1)
-    for row, k in enumerate(ks.tolist()):
-        scalar_h, scalar_hp = hankel_factors(max_degree, k, R)
-        assert h[row].tobytes() == scalar_h.tobytes()
-        assert hp[row].tobytes() == scalar_hp.tobytes()
-
-
 @pytest.mark.parametrize("k, R, error, message", [
     (0.05, 1.0, DomainError, "kR = 0.05 below supported minimum 0.1"),
     (1e300, 1e10, CapacityError, "kR exceeds the floating range"),
@@ -305,8 +293,8 @@ def test_hankel_factors_of_a_k_array_equal_the_scalar_calls(max_degree, R):
     (4.0, math.inf, DomainError, "R must be finite, got R=inf"),
 ])
 def test_the_kr_check_raises_alike_for_floats_and_arrays(k, R, error, message):
-    # a Python float takes the scalar path; numpy scalars, 0-d and 1-d arrays
-    # take the array path, and both end in the same class and message
+    # Python floats, numpy scalars, 0-d and 1-d arrays end in the same class
+    # and message
     for form in (float, np.float64, np.array, lambda x: np.array([4.0, x])):
         with pytest.raises(error) as caught:
             default_cutoff(form(k), R)

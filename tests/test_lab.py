@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helios import lab, obstacle
-from helios.errors import DomainError
+from helios.errors import CapacityError, DomainError
 from helios.field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from helios.harmonics import CoefficientSpectrum, aggregate, aggregate_bins, stacked_index
 from helios.lab import (
@@ -145,14 +145,30 @@ def test_sweep_validation():
         ksweep(d, 1.0, [4.0], 1e-3, 5, kind="mixed")
 
 
+@pytest.mark.parametrize("kind, error, message", [
+    ("soft", CapacityError, "a recovered coefficient exceeds the floating range"),
+    ("hard", DomainError, "M must be finite, got M=nan"),
+])
+def test_several_failing_wavenumbers_raise_the_first_failing_stage(kind, error, message):
+    # each stage runs over every wavenumber before the next starts, so the
+    # inverse or the budget of k = 1e308 fails before the estimates reject
+    # the kR = 1.65478 < 2 of k = 1 (which fails alone with a DomainError)
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    with pytest.raises(DomainError, match="^estimates require kR >= 2, got kR = 1.65478$"):
+        ksweep(d, 1.65478, [1.0], 1e-3, 2, kind=kind)
+    for k_list in ([1.0, 1e308], [1e308, 1.0]):
+        with pytest.raises(error) as caught:
+            ksweep(d, 1.65478, k_list, 1e-3, 2, kind=kind)
+        assert str(caught.value) == message
+
+
 def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
-    # one Hankel table serves every wavenumber: the forward maps and every
-    # replicate's inverse share one gain per k, all from one call
+    # the forward map and every replicate's inverse share one gain per k
     calls = []
     real = obstacle.hankel_factors
 
     def counted(max_degree, k, R):
-        calls.append(np.array(k).tolist())
+        calls.append(k)
         return real(max_degree, k, R)
 
     monkeypatch.setattr(obstacle, "hankel_factors", counted)
@@ -161,7 +177,7 @@ def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
         calls.clear()
         rows = ksweep(d, 1.0, [8.0, 2.0, 4.0], delta=1e-3, seeds=5, kind=kind)
         assert len(rows) == 15
-        assert calls == [[2.0, 4.0, 8.0]]
+        assert calls == [2.0, 4.0, 8.0]
 
 
 def test_ensemble_small():

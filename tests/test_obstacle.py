@@ -81,21 +81,6 @@ def test_gain_is_bit_identical_to_the_frozen_formulas(k, R):
         assert gain(kind, k, R, 30).tobytes() == frozen(k, R, 30).tobytes()
 
 
-@pytest.mark.parametrize("max_degree", [0, 7, 30, 60])
-@pytest.mark.parametrize("R", [0.7, 1.0, 2.5])
-def test_gain_of_a_k_array_equals_the_scalar_calls(max_degree, R):
-    # numpy's complex division rounds differently from Python's, so each
-    # row must take its boundary factor from the scalar incident_trace
-    # (3.3, 0.7), for one, is such a case for both kinds
-    ks = np.array([3.3, 0.37, 41.7, 7.1, 12.9, 64.0])
-    for kind, frozen in (("soft", frozen_soft_gain), ("hard", frozen_hard_gain)):
-        factors = gain(kind, ks, R, max_degree)
-        assert factors.shape == (len(ks), max_degree + 1)
-        for row, k in enumerate(ks.tolist()):
-            assert factors[row].tobytes() == gain(kind, k, R, max_degree).tobytes()
-            assert factors[row].tobytes() == frozen(k, R, max_degree).tobytes()
-
-
 def test_gain_rejects_unknown_kind():
     with pytest.raises(DomainError, match="unknown obstacle kind"):
         gain("mixed", 4.0, 1.0, 3)
