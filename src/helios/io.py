@@ -53,7 +53,10 @@ def load_spectrum(path: str) -> tuple[float, float, CoefficientSpectrum]:
             (int(rec["n"]), int(rec["m"])): complex(float(rec["re"]), float(rec["im"]))
             for rec in doc["coefficients"]
         }
-        max_degree = int(doc.get("max_degree", max((n for n, _ in entries), default=0)))
+        if "max_degree" in doc:
+            max_degree = int(doc["max_degree"])
+        else:
+            max_degree = max((n for n, _ in entries), default=0)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed spectrum file {path}: {exc!r}") from exc
     require_finite(k=k, R=R)

@@ -182,6 +182,16 @@ def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
     return reports
 
 
+def _substituted_norm(name: str, M, d_norm1):
+    """A corollary's a-priori norm M, formed from a finite k, R and d_norm1;
+    CapacityError where M overflowed (to inf, or to NaN from inf / inf or
+    inf * 0) from a nonnegative d_norm1. A negative d_norm1 passes through
+    to the estimate's DomainError."""
+    if (np.greater_equal(d_norm1, 0.0) & ~np.isfinite(M)).any():
+        raise CapacityError(f"a-priori norm {name} exceeds the floating range")
+    return M
+
+
 @_quiet
 def corollary_soft_terms(eps1, eps2, E, k, R, d_norm1, variant: str = "T1") -> RhsTerms:
     """Term breakdown of the soft-obstacle perturbation bound: the trace
@@ -190,8 +200,10 @@ def corollary_soft_terms(eps1, eps2, E, k, R, d_norm1, variant: str = "T1") -> R
     if variant not in ("T1", "T2"):
         raise DomainError(f"unknown variant {variant!r} (expected T1 or T2)")
     require_positive(k=k, R=R)  # before the division by R
+    require_finite(d_norm1=d_norm1)  # before M1 is formed from it
     kr2p1 = k * k * R * R + 1.0
-    terms = _RHS[variant](eps1, eps2, E, k, R, np.sqrt(kr2p1) / R * d_norm1)
+    M1 = _substituted_norm("M1", np.sqrt(kr2p1) / R * d_norm1, d_norm1)
+    terms = _RHS[variant](eps1, eps2, E, k, R, M1)
     return _terms(*(R * R / kr2p1 * term for term in terms))
 
 
@@ -201,6 +213,8 @@ def corollary_hard_terms(eps1, eps2, E, k, R, d_norm1) -> RhsTerms:
     radial-derivative estimate at M2 = k^2 R d_norm1 / sqrt(k^2 R^2 + 1),
     scaled by (k^2 R^2 + 1)/(k^4 R^2)."""
     require_positive(k=k, R=R)  # before the divisions by k and R
+    require_finite(d_norm1=d_norm1)  # before M2 is formed from it
     kr2p1 = k * k * R * R + 1.0
-    terms = rhs_T1der(eps1, eps2, E, k, R, k * k * R * d_norm1 / np.sqrt(kr2p1))
+    M2 = _substituted_norm("M2", k * k * R * d_norm1 / np.sqrt(kr2p1), d_norm1)
+    terms = rhs_T1der(eps1, eps2, E, k, R, M2)
     return _terms(*(kr2p1 / (k * k * R * R) / (k * k) * term for term in terms))

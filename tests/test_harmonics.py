@@ -198,7 +198,56 @@ def test_synthesize_rejects_spectrum_above_grid_degree():
         synthesize(random_spectrum(5, seed=0), grid)
 
 
-def test_build_fills_table_with_one_scipy_call(monkeypatch):
+def add_at_synthesize(spectrum, grid):
+    """Reference synthesis with the scatter frozen as one np.add.at over the
+    packed orders: each FFT bin sums its rows from +0.0 in slot order."""
+    order = packed_index(spectrum.max_degree)[1]
+    n_phi = 2 * grid.design_degree + 1
+    rows = spectrum.coefficients[:, None] * grid.table[: len(order)]
+    g = np.zeros((n_phi, grid.design_degree + 1), dtype=complex)
+    np.add.at(g, order, rows)
+    return (n_phi * np.fft.ifft(g, axis=0)).T.ravel()
+
+
+@pytest.mark.parametrize("design_degree", [10, 20, 40, 60])
+def test_synthesize_is_bit_equal_to_the_add_at_scatter(design_degree):
+    grid = SphereGrid.build(design_degree)
+    rng = np.random.default_rng(design_degree)
+    for max_degree in (0, 1, design_degree // 2, design_degree - 1, design_degree):
+        size = (max_degree + 1) ** 2
+        coefficients = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coefficients[::3] = 0.0
+        coefficients[1::5] = -0.0
+        coefficients[2::7] = complex(-0.0, -0.0)
+        spec = CoefficientSpectrum.from_packed(coefficients)
+        got, want = synthesize(spec, grid), add_at_synthesize(spec, grid)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("design_degree", range(61))
+def test_table_matches_scipy(design_degree):
+    degree, order = packed_index(design_degree)
+    theta = np.arccos(np.polynomial.legendre.leggauss(design_degree + 1)[0])
+    want = sph_harm_y(degree[:, None], order[:, None], theta, 0.0).real
+    table = SphereGrid.build(design_degree).table
+    assert table.shape == want.shape and table.dtype == np.float64
+    assert np.max(np.abs(table - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("design_degree", [0, 1, 7, 30, 40, 60])
+def test_table_rows_of_each_order_are_orthonormal(design_degree):
+    # 2 pi sum_j w_j Y_n^m(theta_j, 0) Y_n'^m(theta_j, 0) = delta_nn' for
+    # n, n' <= L: the Gauss rule integrates the degree 2L product exactly
+    grid = SphereGrid.build(design_degree)
+    weights = np.polynomial.legendre.leggauss(design_degree + 1)[1]
+    order = packed_index(design_degree)[1]
+    for m in range(-design_degree, design_degree + 1):
+        rows = grid.table[order == m]
+        gram = 2.0 * math.pi * (rows * weights) @ rows.T
+        assert np.max(np.abs(gram - np.eye(len(rows)))) <= 5e-13
+
+
+def test_build_and_transforms_make_no_scipy_call(monkeypatch):
     import helios.harmonics as harmonics
 
     calls = []
@@ -210,10 +259,11 @@ def test_build_fills_table_with_one_scipy_call(monkeypatch):
 
     monkeypatch.setattr(harmonics, "sph_harm_y", counted)
     grid = SphereGrid.build(12)
-    assert len(calls) == 1
     assert grid.table.shape == (13 * 13, 13) and grid.table.dtype == np.float64
     spec = random_spectrum(12, seed=5)
     analyze(synthesize(spec, grid), grid, 12)
+    assert calls == []
+    grid.harmonic(2, 1)
     assert len(calls) == 1
 
 
@@ -409,14 +459,19 @@ def test_low_pass_matches_per_index_reference(cut):
         assert kept[n, m] == (value if n <= cut else 0.0)
 
 
-def test_scipy_special_loads_with_the_first_grid():
-    # importing helios and its CLI leaves scipy.special unloaded; the first
-    # grid build loads it
+def test_scipy_special_loads_only_for_a_direct_harmonic():
+    # importing helios and its CLI, a grid build and both transforms leave
+    # scipy.special unloaded; a direct evaluation of a harmonic loads it
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import helios, helios.cli\n"
         "print('scipy.special' in sys.modules)\n"
-        "helios.SphereGrid.build(5)\n"
+        "grid = helios.SphereGrid.build(5)\n"
+        "spec = helios.harmonics.CoefficientSpectrum.from_packed(np.ones(36, dtype=complex))\n"
+        "helios.harmonics.analyze(helios.harmonics.synthesize(spec, grid), grid, 5)\n"
+        "print('scipy.special' in sys.modules)\n"
+        "grid.harmonic(1, 0)\n"
         "print('scipy.special' in sys.modules)\n"
     )
     src = str(Path(helios.__file__).resolve().parents[1])
@@ -424,4 +479,4 @@ def test_scipy_special_loads_with_the_first_grid():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]

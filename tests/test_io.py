@@ -91,6 +91,32 @@ def test_load_rejects_excess_degree(tmp_path):
         load_spectrum(str(path))
 
 
+def test_load_takes_the_degree_from_the_key_or_else_from_the_entries(tmp_path, monkeypatch):
+    import helios.io
+
+    path = tmp_path / "spec.json"
+    records = ('[{"n": 2, "m": -1, "re": 1.0, "im": 0.0}, '
+               '{"n": 1, "m": 0, "re": 0.0, "im": 2.0}]')
+    # with the key, its degree wins and the entries' degrees are not scanned
+    path.write_text(f'{{"k": 4, "R": 1, "max_degree": 5, "coefficients": {records}}}\n')
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("max_degree was computed from the entries")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(helios.io, "max", no_scan, raising=False)
+        _, _, loaded = load_spectrum(str(path))
+    assert loaded.max_degree == 5
+    assert loaded[2, -1] == 1.0 and loaded[1, 0] == 2.0j
+    # without it, the largest degree among the entries, or 0 for none
+    path.write_text(f'{{"k": 4, "R": 1, "coefficients": {records}}}\n')
+    _, _, loaded = load_spectrum(str(path))
+    assert loaded.max_degree == 2
+    assert loaded[2, -1] == 1.0 and loaded[1, 0] == 2.0j
+    path.write_text('{"k": 4, "R": 1, "coefficients": []}\n')
+    assert load_spectrum(str(path))[2].max_degree == 0
+
+
 def test_csv_format(tmp_path):
     d = make_real_perturbation(DecayProfile("exponential", 1.0, 4, seed=7))
     rows = ksweep(d, 1.0, [2.0, 4.0], 1e-3, 2, master_seed=0)

@@ -306,6 +306,29 @@ def test_the_trace_estimates_do_not_need_k_squared(which):
         verify_theorem(spectrum, 1e160, 1.0, "T1der")  # |d/dr u_0|^2 = 6e319
 
 
+@pytest.mark.parametrize("corollary, name", [(corollary_soft_terms, "M1"),
+                                             (corollary_hard_terms, "M2")])
+def test_an_overflowing_substituted_norm_is_a_capacity_error(corollary, name):
+    # k^2 R^2 + 1 overflows, so M1 = inf and M2 = inf / inf = NaN (or
+    # inf * 0 = NaN for d_norm1 = 0): the caller's inputs are valid, so the
+    # corollary is out of range rather than given a bad M
+    message = f"^a-priori norm {name} exceeds the floating range$"
+    for k, d_norm1 in [(1e308, 1.0), (1e200, 1.0), (1e160, 0.0)]:
+        with pytest.raises(CapacityError, match=message):
+            corollary(EPS, EPS, E_WORKED, k, 1.0, d_norm1)
+        with pytest.raises(CapacityError, match=message):
+            corollary(EPS, EPS, E_WORKED, np.array([4.0, k, 4.0]), 1.0, d_norm1)
+    # a NaN, infinite, negative or out-of-range d_norm1 stays the caller's
+    # DomainError
+    for d_norm1 in (math.nan, math.inf, -1.0, 10**400):
+        for k in (4.0, 1e308):
+            with pytest.raises(DomainError):
+                corollary(EPS, EPS, E_WORKED, k, 1.0, d_norm1)
+    for d_norm1 in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError):
+            corollary(EPS, EPS, E_WORKED, 4.0, 1.0, np.array([1.0, d_norm1, 1.0]))
+
+
 @pytest.mark.parametrize("estimate", [
     *ESTIMATES, lambda *args: corollary_soft_terms(*args, variant="T2"),
 ], ids=[fn.__name__ for fn in ESTIMATES] + ["corollary_soft_terms_T2"])
