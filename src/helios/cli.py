@@ -20,7 +20,7 @@ from . import io as io_mod
 from .errors import CapacityError, DomainError, ResolutionError
 from .field import low_pass, near_field_trace, sobolev_norm, split_spectrum
 from .harmonics import aggregate
-from .lab import DecayProfile, ensemble_verify, ksweep, make_real_perturbation
+from .lab import ensemble_verify, ksweep, make_real_perturbation
 from .obstacle import BoundaryPerturbation, forward_hard, forward_soft, invert_hard, invert_soft
 from .specfun import hankel_value
 
@@ -123,26 +123,8 @@ def cmd_obstacle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    try:
-        profile = DecayProfile(
-            kind=cfg["profile"]["kind"],
-            rate=float(cfg["profile"]["rate"]),
-            max_degree=int(cfg["profile"]["max_degree"]),
-            seed=int(cfg["profile"]["seed"]),
-            amplitude=float(cfg["profile"].get("amplitude", 1.0)),
-        )
-        k_list = [float(k) for k in cfg["k_list"]]
-        R = float(cfg.get("R", 1.0))
-        delta = float(cfg.get("delta", 0.0))
-        seeds = int(cfg.get("seeds", 1))
-        master_seed = int(cfg.get("seed", 0))
-        kind = cfg.get("kind", "soft")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"malformed sweep config: {exc}") from exc
-    d = make_real_perturbation(profile)
-    rows = ksweep(d, R, k_list, delta, seeds, master_seed=master_seed, kind=kind)
+    profile, sweep = io_mod.load_sweep_config(args.config)
+    rows = ksweep(make_real_perturbation(profile), **sweep)
     with open(args.out, "w") as fh:
         io_mod.write_sweep_csv(fh, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

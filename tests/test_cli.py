@@ -352,11 +352,52 @@ def test_sweep_non_finite_noise_exits_2(delta, tmp_path, capsys):
     ({"kind": {}}, "unknown obstacle kind"),
     ({"profile": {**SWEEP_CONFIG["profile"], "seed": -1}}, "seed must be nonnegative"),
     ({"seed": -1}, "seed must be nonnegative"),
+    ({"seeds": 2.9}, "seeds must be a JSON integer, got 2.9"),
+    ({"seeds": 2.0}, "seeds must be a JSON integer, got 2.0"),
+    ({"seeds": "2"}, "seeds must be a JSON integer, got '2'"),
+    ({"seed": True}, "seed must be a JSON integer, got True"),
+    ({"profile": {**SWEEP_CONFIG["profile"], "max_degree": 4.7}},
+     "profile.max_degree must be a JSON integer, got 4.7"),
+    ({"profile": {**SWEEP_CONFIG["profile"], "seed": 7.5}},
+     "profile.seed must be a JSON integer, got 7.5"),
+    ({"profile": {**SWEEP_CONFIG["profile"], "rate": "1"}},
+     "profile.rate must be a JSON number, got '1'"),
+    ({"profile": {**SWEEP_CONFIG["profile"], "amplitude": True}},
+     "profile.amplitude must be a JSON number, got True"),
+    ({"k_list": [2.0, "4"]}, "k_list must be a JSON number, got '4'"),
+    ({"k_list": 4.0}, "k_list must be a JSON array, got 4.0"),
+    ({"R": None}, "R must be a JSON number, got None"),
+    ({"delta": False}, "delta must be a JSON number, got False"),
 ])
 def test_sweep_bad_config_value_exits_2(overrides, message, tmp_path, capsys):
     path = write_json(tmp_path / "cfg.json", json.dumps({**SWEEP_CONFIG, **overrides}))
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_sweep_config_with_non_integer_counts_writes_nothing(tmp_path, capsys):
+    # each of these once truncated to an integer, and the sweep wrote 4 rows
+    config = {**SWEEP_CONFIG, "seeds": 2.9, "seed": True,
+              "profile": {**SWEEP_CONFIG["profile"], "max_degree": 4.7, "seed": 7.5}}
+    path = write_json(tmp_path / "cfg.json", json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert "malformed sweep config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_config_takes_integers_where_numbers_go(tmp_path):
+    # JSON integers are numbers: the same rows as the float spelling
+    config = {**SWEEP_CONFIG, "k_list": [2, 4], "R": 1, "delta": 0,
+              "profile": {**SWEEP_CONFIG["profile"], "rate": 1, "amplitude": 2}}
+    outs = []
+    for i, cfg in enumerate([config, {**config, "k_list": [2.0, 4.0], "R": 1.0, "delta": 0.0,
+                                      "profile": {**config["profile"], "rate": 1.0,
+                                                  "amplitude": 2.0}}]):
+        path = write_json(tmp_path / f"cfg{i}.json", json.dumps(cfg))
+        outs.append(tmp_path / f"out{i}.csv")
+        assert main(["sweep", "--config", path, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 # The canonical sweep (the README config). Its bytes change only with a

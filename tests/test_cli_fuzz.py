@@ -11,6 +11,10 @@ the wrong type, or a field deleted. Values that set the amount of work (a
 sweep's replicate count and number of wavenumbers, the bounds-check point
 count) are only replaced by small, non-finite or non-numeric ones: a huge
 honest count is a long run, not an error.
+
+Spectrum documents with a repeated (n, m) record, and spectrum documents
+and sweep configs with an index or count that is an integral float, a
+bool or a numeric string, must end with exit code 2.
 """
 
 import contextlib
@@ -40,7 +44,11 @@ JUNK = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 )
 ANY = st.one_of(FLOAT, FLOAT, st.integers(-(10**20), 10**20), JUNK)
-SMALL_COUNT = st.one_of(st.integers(-2, 3), NON_FINITE, JUNK)
+# What a JSON-integer field rejects although int() would take it: an
+# integral float, a bool, a numeric string.
+NOT_AN_INTEGER = st.one_of(st.integers(-2, 8).map(float), st.booleans(),
+                           st.integers(-2, 8).map(str))
+SMALL_COUNT = st.one_of(st.integers(-2, 3), NON_FINITE, NOT_AN_INTEGER, JUNK)
 WORK_SIZES = {"seeds", "points"}
 
 
@@ -75,22 +83,41 @@ def mutated(draw, doc):
     return doc
 
 
-@st.composite
-def spectrum_documents(draw):
+def valid_spectrum_document(draw, min_records=0):
     max_degree = draw(st.integers(0, 8))
     slots = [(n, m) for n in range(max_degree + 1) for m in range(-n, n + 1)]
-    chosen = draw(st.lists(st.sampled_from(slots), max_size=6, unique=True))
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=min_records, max_size=6, unique=True))
     records = [{"n": n, "m": m, "re": draw(st.floats(-2.0, 2.0)), "im": draw(st.floats(-2.0, 2.0))}
                for n, m in chosen]
     doc = {"k": draw(st.floats(0.5, 60.0)), "R": draw(st.floats(0.5, 2.0)), "coefficients": records}
     if draw(st.booleans()):
         doc["max_degree"] = max_degree
-    return mutated(draw, doc)
+    return doc
 
 
 @st.composite
-def sweep_configs(draw):
-    doc = {
+def spectrum_documents(draw):
+    return mutated(draw, valid_spectrum_document(draw))
+
+
+@st.composite
+def ill_typed_spectrum_documents(draw):
+    """A valid document with one record repeated (its values may differ),
+    or with one n, m or max_degree that is not a JSON integer."""
+    doc = valid_spectrum_document(draw, min_records=1)
+    records = doc["coefficients"]
+    if draw(st.booleans()):
+        again = {**draw(st.sampled_from(records)), "re": draw(st.floats(-2.0, 2.0))}
+        records.insert(draw(st.integers(0, len(records))), again)
+    else:
+        field = draw(st.sampled_from(["n", "m", "max_degree"]))
+        target = doc if field == "max_degree" else draw(st.sampled_from(records))
+        target[field] = draw(NOT_AN_INTEGER)
+    return doc
+
+
+def valid_sweep_config(draw):
+    return {
         "profile": {
             "kind": draw(st.sampled_from(["exponential", "algebraic"])),
             "rate": draw(st.floats(0.3, 2.0)),
@@ -105,7 +132,22 @@ def sweep_configs(draw):
         "seed": draw(st.integers(0, 2**64)),
         "kind": draw(st.sampled_from(["soft", "hard"])),
     }
-    return mutated(draw, doc)
+
+
+@st.composite
+def sweep_configs(draw):
+    return mutated(draw, valid_sweep_config(draw))
+
+
+@st.composite
+def ill_typed_sweep_configs(draw):
+    """A valid config with one count (seeds, seed, or the profile's
+    max_degree or seed) that is not a JSON integer."""
+    doc = valid_sweep_config(draw)
+    target, field = draw(st.sampled_from(
+        [(doc, "seeds"), (doc, "seed"), (doc["profile"], "max_degree"), (doc["profile"], "seed")]))
+    target[field] = draw(NOT_AN_INTEGER)
+    return doc
 
 
 FLAG_TEXT = st.one_of(
@@ -165,25 +207,39 @@ def dumps(doc) -> str:
     return json.dumps(doc, allow_nan=True)
 
 
+def spectrum_argv(tmp, text, command, kind, ncut):
+    path = Path(tmp) / "spectrum.json"
+    path.write_text(text)
+    if command == "reconstruct":
+        argv = ["reconstruct", str(path), "--out", str(Path(tmp) / "trace.json")]
+    else:
+        argv = ["obstacle", command, str(path), "--kind", kind, "--out", str(Path(tmp) / "out.json")]
+    if ncut is not None and command != "forward":
+        argv.append(f"--ncut={ncut}")
+    return argv
+
+
+COMMAND = st.sampled_from(["reconstruct", "forward", "invert"])
+KIND = st.sampled_from(["soft", "hard"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     text=st.one_of(spectrum_documents().map(dumps), spectrum_documents().map(dumps), RAW_TEXT),
-    command=st.sampled_from(["reconstruct", "forward", "invert"]),
-    kind=st.sampled_from(["soft", "hard"]),
-    ncut=CUTOFF,
+    command=COMMAND, kind=KIND, ncut=CUTOFF,
 )
 def test_spectrum_commands_exit_cleanly(text, command, kind, ncut):
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spectrum.json"
-        path.write_text(text)
-        if command == "reconstruct":
-            argv = ["reconstruct", str(path), "--out", str(Path(tmp) / "trace.json")]
-        else:
-            argv = ["obstacle", command, str(path), "--kind", kind,
-                    "--out", str(Path(tmp) / "out.json")]
-        if ncut is not None and command != "forward":
-            argv.append(f"--ncut={ncut}")
-        check(argv)
+        check(spectrum_argv(tmp, text, command, kind, ncut))
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=ill_typed_spectrum_documents(), command=COMMAND, kind=KIND,
+       ncut=st.one_of(st.none(), st.integers(0, 10).map(str)))
+def test_ill_typed_spectrum_files_exit_2(doc, command, kind, ncut):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out = run(spectrum_argv(tmp, dumps(doc), command, kind, ncut))
+    assert code == 2 and out == "", (doc, code)
 
 
 @settings(max_examples=100, deadline=None)
@@ -193,6 +249,17 @@ def test_sweep_exits_cleanly(config):
         path = Path(tmp) / "config.json"
         path.write_text(config)
         check(["sweep", "--config", str(path), "--out", str(Path(tmp) / "sweep.csv")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=ill_typed_sweep_configs())
+def test_ill_typed_sweep_configs_exit_2(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(dumps(config))
+        out = Path(tmp) / "sweep.csv"
+        code, _ = run(["sweep", "--config", str(path), "--out", str(out)])
+        assert code == 2 and not out.exists(), (config, code)
 
 
 @settings(max_examples=100, deadline=None)
