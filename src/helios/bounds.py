@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import hankel_table, hankel_value
-from .util import require_positive
+from .util import require_count, require_positive
 
 _SQRT2_OVER_SQRTPI = math.sqrt(2.0 / math.pi)
 
@@ -134,8 +134,7 @@ def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
     require_positive(tmin=tmin, tmax=tmax)
     if tmax < tmin:
         raise DomainError(f"need tmin <= tmax, got [{tmin}, {tmax}]")
-    if points < 1:
-        raise DomainError("grid needs at least one point")
+    require_count(points, "points", least=1)
     _check_certified(tmax)  # before np.logspace, which may overflow past the ceiling
     if points == 1:
         return np.array([tmin])

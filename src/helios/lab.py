@@ -2,17 +2,18 @@
 injection, and wavenumber sweeps that measure how reconstruction error and
 the stability budget behave as k doubles.
 
-All randomness flows through numpy SeedSequences derived from
-(master seed, k index, replicate index), so sweep output is bit-identical
-across runs and does not depend on the order in which wavenumbers are
-processed.
+All randomness flows through one numpy Generator per stream: a sweep
+draws a wavenumber's replicates in turn from the stream (master seed,
+k index), an ensemble its members' parameters from child (0,) of its seed
+and their normals from child (1,). Output is bit-identical across runs
+and depends neither on the replicate count or ensemble size nor on the
+order of the wavenumbers.
 
 Replicates and ensemble members are batched, not looped over: a sweep
 holds one wavenumber's S replicates as the rows of one (S x (L+1)^2)
 packed array, and splits and budgets the stacked (K x S x (L+1))
 magnitudes of its K wavenumbers in one call each; an ensemble rescales
-its members' concatenated packed arrays in one pass. Each row, and each
-member, is bit-equal to the scalar call it replaces: `perturb` and
+its members' concatenated packed arrays in one pass. `perturb` and
 `make_spectrum` are the one-row calls of the same helpers.
 """
 
@@ -30,7 +31,7 @@ from .harmonics import (CoefficientSpectrum, aggregate_bins, conjugate_mirror, p
 from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_quotient
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
                         verify_ensemble)
-from .util import require_finite, require_positive
+from .util import require_count, require_finite, require_positive
 
 
 _DECAY_KINDS = ("exponential", "algebraic")
@@ -69,8 +70,7 @@ def _validate_profile(profile: DecayProfile) -> None:
     # max_degree is checked by packed_index, which both builders call before they draw
     require_positive(rate=profile.rate)
     require_finite(amplitude=profile.amplitude)
-    if profile.seed < 0:
-        raise DomainError(f"profile seed must be nonnegative, got {profile.seed}")
+    require_count(profile.seed, "profile seed")
 
 
 def _pieces(array: np.ndarray, sizes) -> list[np.ndarray]:
@@ -80,16 +80,14 @@ def _pieces(array: np.ndarray, sizes) -> list[np.ndarray]:
     return [array[end - size : end] for size, end in zip(np.asarray(sizes).tolist(), ends)]
 
 
-def _complex_normals(seeds, max_degrees) -> np.ndarray:
+def _complex_normals(rng: np.random.Generator, max_degrees) -> np.ndarray:
     """A complex normal for every slot of the packed arrays of spectra of
-    degrees max_degrees, concatenated in order. Spectrum j's come from one
-    standard_normal draw of default_rng(seeds[j]), in degree order: degree
-    n's 2n+1 real parts, then its 2n+1 imaginary parts."""
+    degrees max_degrees, concatenated in order, from one standard_normal
+    draw of rng. Spectrum j's draws follow spectrum j-1's, in degree order:
+    degree n's 2n+1 real parts, then its 2n+1 imaginary parts."""
     degree = stacked_index(max_degrees)[1]
     sizes = (np.asarray(max_degrees) + 1) ** 2
-    draws = np.empty(2 * degree.size)
-    for seed, part in zip(seeds, _pieces(draws, 2 * sizes)):
-        np.random.default_rng(seed).standard_normal(out=part)
+    draws = rng.standard_normal(2 * degree.size)
     # a spectrum whose first slot is f draws from 2f on, and its degree n
     # from 2f + 2n^2 on: slot g = f + n^2 + n + m draws its real part at
     # g + f + n^2 and its imaginary part 2n + 1 later
@@ -118,7 +116,7 @@ def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
     exactly: orders within each degree carry random complex directions
     renormalized to the target magnitude."""
     _validate_profile(profile)
-    raw = _complex_normals([np.random.SeedSequence(profile.seed)], [profile.max_degree])
+    raw = _complex_normals(np.random.default_rng(profile.seed), [profile.max_degree])
     degrees = packed_index(profile.max_degree)[0]
     return CoefficientSpectrum.from_packed(
         _with_degree_magnitudes(raw, degrees, profile.degree_magnitudes()))
@@ -128,7 +126,7 @@ def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
     """Random real boundary perturbation with the profile's aggregate
     decay, built with conjugate symmetry d_{n,-m} = (-1)^m conj(d_{n,m})."""
     _validate_profile(profile)
-    rng = np.random.default_rng(np.random.SeedSequence(profile.seed))
+    rng = np.random.default_rng(profile.seed)
     degree, order = packed_index(profile.max_degree)
     # degree n's draws start at n^2: d_{n,0}, then re and im of d_{n,m} for m = 1..n
     draws = rng.standard_normal((profile.max_degree + 1) ** 2)
@@ -146,26 +144,30 @@ def _check_noise_level(delta: float) -> None:
         raise DomainError("noise level delta must be nonnegative")
 
 
-def _with_noise(coefficients: np.ndarray, delta: float, seeds) -> np.ndarray:
-    """One row per seed: the packed `coefficients` plus complex normals
-    drawn from default_rng(seed), rescaled so the added coefficient energy
-    is exactly delta^2. The rows are C-contiguous, so each row's energy is
-    summed pairwise, as np.sum sums one 1-D array."""
+def _with_noise(coefficients: np.ndarray, delta: float, rng, count: int) -> np.ndarray:
+    """`count` rows: the packed `coefficients` plus complex normals, row r's
+    the r-th block of one draw of rng, rescaled so the added coefficient
+    energy is exactly delta^2. The rows are C-contiguous, so each row's
+    energy is summed pairwise, as np.sum sums one 1-D array."""
     max_degree = math.isqrt(len(coefficients)) - 1
-    noise = _complex_normals(seeds, [max_degree] * len(seeds)).reshape(len(seeds), -1)
+    noise = _complex_normals(rng, [max_degree] * count).reshape(count, -1)
     energy = np.sum(np.abs(noise) ** 2, axis=-1)
     noise *= (delta / np.sqrt(energy))[:, None]
-    noise += coefficients  # in place, so one (seeds x slots) array serves
+    noise += coefficients  # in place, so one (count x slots) array serves
     return noise
 
 
 def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpectrum:
-    """Add random noise across all indices up to max_degree, rescaled so
-    the added coefficient energy is exactly delta^2."""
+    """Add random noise across all indices up to max_degree, drawn from
+    default_rng(seed) for a nonnegative integer or a SeedSequence seed and
+    rescaled so the added coefficient energy is exactly delta^2."""
+    if not isinstance(seed, np.random.SeedSequence):
+        require_count(seed, "seed")
     _check_noise_level(delta)
     if delta == 0.0:
         return spectrum
-    return CoefficientSpectrum.from_packed(_with_noise(spectrum.coefficients, delta, [seed])[0])
+    rng = np.random.default_rng(seed)
+    return CoefficientSpectrum.from_packed(_with_noise(spectrum.coefficients, delta, rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -206,24 +208,21 @@ def ksweep(
     surface norm itself.
 
     Rows come in ascending k, replicates in order. Per wavenumber, the
-    replicates are the rows of one (seeds x slots) array: replicate rep's
-    noise is drawn from SeedSequence(entropy=master_seed,
-    spawn_key=(k_index, rep)), with k_index the wavenumber's position in
-    k_list, and the noisy, recovered and error magnitudes of all
-    replicates come from one bincount each. The split, the norms and the
-    budget are one call each on the stacked (wavenumber x seeds x degree)
-    magnitudes. Every row is bit-equal to a per-replicate evaluation, and
-    does not depend on the number of replicates or on the other
-    wavenumbers. A sweep with one failing wavenumber raises what that
+    `seeds` (>= 1) replicates are the rows of one array, replicate rep's
+    noise the rep-th block of one draw of default_rng(SeedSequence(
+    master_seed, spawn_key=(k_index,))), k_index the wavenumber's position
+    in k_list. The noisy, recovered and error magnitudes of all replicates
+    come from one bincount each; the split, the norms and the budget are
+    one call each on the stacked (wavenumber x seeds x degree) magnitudes.
+    Every row is bit-equal to a per-replicate evaluation, and does not
+    depend on the number of replicates or on the other wavenumbers. A sweep with one failing wavenumber raises what that
     wavenumber raises alone; with several, the first stage that fails
     (the gains, the forward maps, the noise level, the inverse, the split,
     the norms, the budget) raises."""
     if not k_list:
         raise DomainError("k_list must be nonempty")
-    if seeds < 1:
-        raise DomainError("need at least one noise replicate")
-    if master_seed < 0:
-        raise DomainError(f"master seed must be nonnegative, got {master_seed}")
+    require_count(seeds, "seeds", least=1)
+    require_count(master_seed, "master_seed")
 
     order = sorted(range(len(k_list)), key=lambda i: k_list[i])
     ks = np.array([float(k_list[i]) for i in order])
@@ -248,9 +247,8 @@ def ksweep(
         if delta == 0.0:
             noisy = np.tile(amplitude.coefficients, (seeds, 1))
         else:
-            streams = [np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
-                       for rep in range(seeds)]
-            noisy = _with_noise(amplitude.coefficients, delta, streams)
+            rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k_index,)))
+            noisy = _with_noise(amplitude.coefficients, delta, rng, seeds)
         recovered = truncated_quotient(noisy, factors[i], int(cutoffs[i]))
         magnitudes[0, i] = per_degree(noisy)
         magnitudes[1, i] = per_degree(recovered)
@@ -288,39 +286,40 @@ def random_ensemble(
     estimates live in the small-data regime eps2 < 1 (so E > 0), and the
     derivative estimate in particular needs E + k > 1.
 
-    Each member takes its profile, k and target norm from the master
-    stream in turn, and its normals from its own profile seed; the
-    members' packed arrays are then rescaled in one pass over their
-    concatenation, each bit-equal to `make_spectrum` of its profile scaled
-    to its target norm. The spectra are views into that one array."""
-    if size < 1:
-        raise DomainError("ensemble size must be at least 1")
+    Member j takes its decay kind (50/50), rate U(0.3, 1.5), max degree
+    (uniform on 1..30), k U(lo, hi) and target norm U(0.05, 0.95) from row
+    j of one random((size, 5)) block of child SeedSequence(seed,
+    spawn_key=(0,)), and its normals from child (1,) after member j-1's,
+    so it does not depend on `size` (a positive integer; `seed` is a
+    nonnegative one). The members' packed arrays are rescaled in one pass
+    over their concatenation; the spectra are views into that array."""
+    require_count(size, "ensemble size", least=1)
+    require_count(seed, "seed")
     lo, hi = kr_range
     require_finite(kr_lo=lo, kr_hi=hi)
     if lo < KR_MIN_ESTIMATES or hi < lo:
         raise DomainError(f"kR range must satisfy {KR_MIN_ESTIMATES:g} <= lo <= hi, got [{lo}, {hi}]")
-    rng = np.random.default_rng(seed)
-    # per member, in this order: decay kind, rate, max degree, profile
-    # seed, k and target norm
-    draws = [(int(rng.integers(0, 2)), float(rng.uniform(0.3, 1.5)), int(rng.integers(1, 31)),
-              int(rng.integers(0, 2**63)), float(rng.uniform(lo, hi)),
-              float(rng.uniform(0.05, 0.95))) for _ in range(size)]
-    kinds, rates, max_degrees, profile_seeds, ks, norms = zip(*draws)
-
-    raw = _complex_normals([np.random.SeedSequence(s) for s in profile_seeds], max_degrees)
+    params, normals = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    u = params.random((size, 5)).T
+    kinds = (2.0 * u[0]).astype(np.intp)  # an index into _DECAY_KINDS
+    rates = 0.3 + 1.2 * u[1]
+    max_degrees = (1 + (30.0 * u[2]).astype(np.intp)).tolist()
+    ks = (lo + (hi - lo) * u[3]).tolist()
+    norms = 0.05 + 0.9 * u[4]
+    raw = _complex_normals(normals, max_degrees)
     # each member's profile, padded to the widest, and each slot's bin in it
     width = max(max_degrees) + 1
     target = np.empty((size, width))
     for index, kind in enumerate(_DECAY_KINDS):
-        rows = np.array(kinds) == index
-        target[rows] = _decay(kind, np.array(rates)[rows, None], 1.0, width - 1)
+        rows = kinds == index
+        target[rows] = _decay(kind, rates[rows, None], 1.0, width - 1)
     member, degree = stacked_index(max_degrees)
     coefficients = _with_degree_magnitudes(raw, member * width + degree, target.ravel())
     # one pairwise sum per member, as energy() sums it; np.add.reduceat
     # would round differently
     sizes = (np.array(max_degrees) + 1) ** 2
     energy = [float(np.sum(part)) for part in _pieces(np.abs(coefficients) ** 2, sizes)]
-    coefficients *= np.repeat(np.array(norms) / np.sqrt(energy), sizes)
+    coefficients *= np.repeat(norms / np.sqrt(energy), sizes)
     return [(CoefficientSpectrum.from_packed(part), k)
             for part, k in zip(_pieces(coefficients, sizes), ks)]
 

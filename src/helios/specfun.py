@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .util import require_positive
+from .util import require_count, require_positive
 
 N_MAX_SUPPORTED = 60
 CAPACITY_LIMIT = 1e300
@@ -67,14 +66,9 @@ class HankelValue:
 
 
 def require_order(n, what: str = "order") -> None:
-    """DomainError unless n is an integer (operator.index accepts it, so
-    numpy integers and bool do) in [0, N_MAX_SUPPORTED]."""
-    try:
-        operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
-    if n < 0:
-        raise DomainError(f"{what} must be nonnegative, got {n}")
+    """DomainError unless n is an integer (`util.require_count`) in
+    [0, N_MAX_SUPPORTED]."""
+    require_count(n, what)
     if n > N_MAX_SUPPORTED:
         raise DomainError(f"{what} {n} exceeds supported maximum {N_MAX_SUPPORTED}")
 

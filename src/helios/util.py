@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -49,3 +50,16 @@ def require_positive(**values) -> None:
             bad = np.asarray(value).flat[np.argmin(ok)]
             require_finite(**{name: bad})
             raise DomainError(f"{name} must be positive, got {name}={bad}")
+
+
+def require_count(value, what: str, least: int = 0) -> None:
+    """DomainError unless value is an integer (operator.index accepts it, so
+    numpy integers and bool do) of at least `least`: the one check of a
+    seed or a count in helios, and of the integer in `specfun.require_order`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise DomainError(f"{what} must be {bound}, got {value}")

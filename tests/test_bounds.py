@@ -93,6 +93,13 @@ def test_bounds_reject_nonpositive_t():
             fn(1, 0.0)
 
 
+@pytest.mark.parametrize("points, message", [
+    (0, "points must be at least 1, got 0"), (2.5, "points must be an integer, got 2.5")])
+def test_log_grid_needs_a_positive_integer_count(points, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        log_grid(0.1, 1.0, points)
+
+
 def test_low_bound_independent_of_order():
     # the low-frequency envelope depends on the argument alone
     for t in np.logspace(0, math.log10(200), 20):

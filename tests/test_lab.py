@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,78 @@ def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
         assert calls == [2.0, 4.0, 8.0]
 
 
+def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_two_per_ensemble(monkeypatch):
+    # not one per replicate or member: the Generators are counted as built
+    built = []
+    real = np.random.default_rng
+
+    def counted(seed=None):
+        built.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    for seeds in (1, 5, 40):
+        built.clear()
+        assert len(ksweep(d, 1.0, [8.0, 2.0, 4.0], delta=1e-3, seeds=seeds)) == 3 * seeds
+        assert [seed.spawn_key for seed in built] == [(1,), (2,), (0,)]  # ascending k
+    for size in (1, 37, 400):
+        built.clear()
+        assert len(lab.random_ensemble(size, 3)) == size
+        assert [seed.spawn_key for seed in built] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_ensemble_members_do_not_depend_on_its_size(seed):
+    large = lab.random_ensemble(60, seed, (2.5, 60.0))
+    for size in (1, 7, 59):
+        small = lab.random_ensemble(size, seed, (2.5, 60.0))
+        assert [k for _, k in small] == [k for _, k in large[:size]]
+        for (spectrum, _), (reference, _) in zip(small, large):
+            assert spectrum.max_degree == reference.max_degree
+            assert spectrum.coefficients.tobytes() == reference.coefficients.tobytes()
+
+
+def test_ensemble_parameters_cover_their_ranges():
+    members = lab.random_ensemble(2000, 0, (2.5, 60.0))
+    degrees = {spectrum.max_degree for spectrum, _ in members}
+    assert degrees == set(range(1, 31))
+    ks = [k for _, k in members]
+    assert 2.5 <= min(ks) < 3.0 and 59.5 < max(ks) < 60.0
+    norms = [math.sqrt(spectrum.energy()) for spectrum, _ in members]
+    assert 0.05 <= min(norms) < 0.06 and 0.94 < max(norms) < 0.95 + 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d, s: lab.random_ensemble(3, 1.5), "seed must be an integer, got 1.5"),
+    (lambda d, s: lab.random_ensemble(3, -1), "seed must be nonnegative, got -1"),
+    (lambda d, s: lab.random_ensemble(2.0, 0), "ensemble size must be an integer, got 2.0"),
+    (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 2, master_seed=1.5),
+     "master_seed must be an integer, got 1.5"),
+    (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 2, master_seed=-1),
+     "master_seed must be nonnegative, got -1"),
+    (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 2.5), "seeds must be an integer, got 2.5"),
+    (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 0), "seeds must be at least 1, got 0"),
+    (lambda d, s: perturb(s, 1e-3, -1), "seed must be nonnegative, got -1"),
+    (lambda d, s: perturb(s, 0.0, 0.5), "seed must be an integer, got 0.5"),
+    (lambda d, s: make_spectrum(DecayProfile("exponential", 1.0, 3, seed=-2)),
+     "profile seed must be nonnegative, got -2"),
+    (lambda d, s: make_real_perturbation(DecayProfile("exponential", 1.0, 3, seed=2.0)),
+     "profile seed must be an integer, got 2.0"),
+])
+def test_every_seed_and_count_is_a_nonnegative_integer(call, message):
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(d, d.spectrum)
+
+
+def test_perturb_takes_an_integer_or_a_seed_sequence():
+    spectrum = make_spectrum(CANONICAL_PROFILE)
+    for seed in (0, np.int64(0), np.random.SeedSequence(0)):
+        assert (perturb(spectrum, 1e-3, seed).coefficients.tobytes()
+                == perturb(spectrum, 1e-3, 0).coefficients.tobytes())
+
+
 def test_ensemble_small():
     failures, min_slack = ensemble_verify(50, seed=0, which="T1")
     assert failures == 0
@@ -187,9 +260,9 @@ def test_ensemble_small():
 
 
 @pytest.mark.parametrize("which, expected", [
-    ("T1", (0, 0.01149756089581875)),
-    ("T2", (0, 0.011501573040772487)),
-    ("T1der", (0, 2.9816239692497066)),
+    ("T1", (0, 0.010707661935397492)),
+    ("T2", (0, 0.010707661935397492)),  # the same member, whose eps2 = 0 leaves no Hoelder term
+    ("T1der", (0, 1.722174121861927)),
 ])
 def test_ensemble_verify_is_pinned(which, expected):
     assert ensemble_verify(1000, seed=0, which=which) == expected
@@ -302,7 +375,7 @@ def test_generators_match_the_per_degree_loops(kind, rate, amplitude, max_degree
 @pytest.mark.parametrize("max_degree", LOOP_DEGREES)
 def test_draw_order_is_the_loops(max_degree):
     for seed in range(5):
-        new = lab._complex_normals([seed], [max_degree])
+        new = lab._complex_normals(np.random.default_rng(seed), [max_degree])
         old = loop_normals(np.random.default_rng(seed), max_degree)
         assert new.tobytes() == old.tobytes()
 
@@ -318,8 +391,9 @@ def test_perturb_matches_the_per_degree_loop(max_degree):
 
 # The per-replicate sweep loop and the per-member ensemble builder that the
 # batched versions replaced, frozen as the reference: the same streams and
-# the same arithmetic, one replicate, wavenumber and member at a time. The
-# batched versions must equal them bit for bit.
+# the same arithmetic, one replicate, wavenumber and member at a time, each
+# replicate or member drawing in turn from its wavenumber's or ensemble's
+# Generator. The batched versions must equal them bit for bit.
 def frozen_perturb(spectrum, delta, seed):
     if delta == 0.0:
         return spectrum
@@ -347,9 +421,10 @@ def frozen_ksweep(d, R, k_list, delta, seeds, master_seed=0, kind="soft"):
         amplitude = obstacle.apply_gain(d.spectrum, factors)
         n_cut = default_cutoff(k, R)
         magnitudes = []
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
+                                                           spawn_key=(k_index,)))
         for rep in range(seeds):
-            child = np.random.SeedSequence(entropy=master_seed, spawn_key=(k_index, rep))
-            noisy = frozen_perturb(amplitude, delta, child)
+            noisy = frozen_perturb(amplitude, delta, rng)  # default_rng(rng) is rng
             recovered = frozen_truncated_inverse(noisy, factors, n_cut)
             magnitudes.append([frozen_aggregate(spectrum)
                                for spectrum in (noisy, recovered, recovered - d.spectrum)])
@@ -369,30 +444,36 @@ def frozen_ksweep(d, R, k_list, delta, seeds, master_seed=0, kind="soft"):
     return rows
 
 
+def frozen_with_magnitudes(raw, target):
+    spectrum = CoefficientSpectrum.from_packed(raw)
+    norm = frozen_aggregate(spectrum)
+    scale = np.divide(target, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    return CoefficientSpectrum.from_packed(raw * scale[spectrum.degrees])
+
+
 def frozen_make_spectrum(profile):
     raw = loop_normals(np.random.default_rng(np.random.SeedSequence(profile.seed)),
                        profile.max_degree)
-    spectrum = CoefficientSpectrum.from_packed(raw)
-    norm = frozen_aggregate(spectrum)
-    scale = np.divide(profile.degree_magnitudes(), norm, out=np.zeros_like(norm),
-                      where=norm > 0.0)
-    return CoefficientSpectrum.from_packed(raw * scale[spectrum.degrees])
+    return frozen_with_magnitudes(raw, profile.degree_magnitudes())
 
 
 def frozen_random_ensemble(size, seed, kr_range=(2.0, 100.0)):
     lo, hi = kr_range
-    rng = np.random.default_rng(seed)
+    params, normals = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
+                       for child in (0, 1))
     out = []
     for _ in range(size):
+        u = params.random(5).tolist()
         profile = DecayProfile(
-            kind=str(rng.choice(["exponential", "algebraic"])),
-            rate=float(rng.uniform(0.3, 1.5)),
-            max_degree=int(rng.integers(1, 31)),
-            seed=int(rng.integers(0, 2**63)),
+            kind=["exponential", "algebraic"][int(2.0 * u[0])],
+            rate=0.3 + 1.2 * u[1],
+            max_degree=1 + int(30.0 * u[2]),
+            seed=0,  # unused: the normals come from the ensemble's stream
         )
-        k = float(rng.uniform(lo, hi))
-        spectrum = frozen_make_spectrum(profile)
-        target = float(rng.uniform(0.05, 0.95))
+        k = lo + (hi - lo) * u[3]
+        target = 0.05 + 0.9 * u[4]
+        spectrum = frozen_with_magnitudes(loop_normals(normals, profile.max_degree),
+                                          profile.degree_magnitudes())
         out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
     return out
 

@@ -8,7 +8,7 @@ from helios.errors import DomainError
 from helios.obstacle import incident_trace
 from helios.specfun import hankel_value
 from helios.stability import rhs_T1
-from helios.util import require_finite, require_positive
+from helios.util import require_count, require_finite, require_positive
 
 
 def test_require_finite_accepts_finite():
@@ -61,3 +61,23 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(call):
     with pytest.raises(DomainError, match="must be finite, got a 1329-bit integer beyond the float range"):
         call()
 
+
+
+def test_require_count_accepts_integers():
+    require_count(0, "seed")
+    require_count(2**70, "seed")
+    require_count(np.int64(3), "seeds", least=1)
+    require_count(True, "seeds", least=1)  # operator.index accepts bool
+
+
+@pytest.mark.parametrize("value, least, message", [
+    (1.5, 0, "seed must be an integer, got 1.5"),
+    (np.float64(2.0), 0, "seed must be an integer, got "),  # numpy's repr varies
+    ("3", 0, "seed must be an integer, got '3'"),
+    (None, 0, "seed must be an integer, got None"),
+    (-1, 0, "seed must be nonnegative, got -1"),
+    (0, 1, "seed must be at least 1, got 0"),
+])
+def test_require_count_rejects(value, least, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        require_count(value, "seed", least)
