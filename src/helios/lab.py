@@ -5,7 +5,9 @@ the stability budget behave as k doubles.
 All randomness flows through one numpy Generator per stream: a sweep
 draws a wavenumber's replicates in turn from the stream (master seed,
 k index), an ensemble its members' parameters from child (0,) of its seed
-and their normals from child (1,). Output is bit-identical across runs
+and, in `random_ensemble` only, their normals from child (1,); the
+estimates read only the per-degree magnitudes the parameters fix, so
+`ensemble_verify` draws no normals. Output is bit-identical across runs
 and depends neither on the replicate count or ensemble size nor on the
 order of the wavenumbers.
 
@@ -29,8 +31,9 @@ from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from .harmonics import (CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index,
                         stacked_index)
 from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_quotient
+from .specfun import N_MAX_SUPPORTED
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
-                        verify_ensemble)
+                        verify_magnitudes)
 from .util import require_count, require_finite, require_positive
 
 
@@ -276,6 +279,30 @@ def ksweep(
     return rows
 
 
+def _ensemble_magnitudes(size: int, seed: int, kr_range: tuple[float, float]):
+    """The max degrees L_j, wavenumbers (an array) and (size x 61)
+    per-degree magnitudes of the members of `random_ensemble`: row j is
+    member j's decay profile times norm_j / sqrt(sum of its squares) up to
+    L_j, and zero above. Row j does not depend on `size`."""
+    require_count(size, "ensemble size", least=1)
+    require_count(seed, "seed")
+    lo, hi = kr_range
+    require_finite(kr_lo=lo, kr_hi=hi)
+    if lo < KR_MIN_ESTIMATES or hi < lo:
+        raise DomainError(f"kR range must satisfy {KR_MIN_ESTIMATES:g} <= lo <= hi, got [{lo}, {hi}]")
+    u = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).random((size, 5)).T
+    kinds = (2.0 * u[0]).astype(np.intp)  # an index into _DECAY_KINDS
+    rates = 0.3 + 1.2 * u[1]
+    max_degrees = 1 + (30.0 * u[2]).astype(np.intp)
+    target = np.empty((size, N_MAX_SUPPORTED + 1))
+    for index, kind in enumerate(_DECAY_KINDS):
+        rows = kinds == index
+        target[rows] = _decay(kind, rates[rows, None], 1.0, N_MAX_SUPPORTED)
+    target[np.arange(N_MAX_SUPPORTED + 1) > max_degrees[:, None]] = 0.0
+    target *= ((0.05 + 0.9 * u[4]) / np.sqrt(np.sum(target * target, axis=1)))[:, None]
+    return max_degrees.tolist(), lo + (hi - lo) * u[3], target
+
+
 def random_ensemble(
     size: int, seed: int, kr_range: tuple[float, float] = (2.0, 100.0)
 ) -> list[tuple[CoefficientSpectrum, float]]:
@@ -291,37 +318,19 @@ def random_ensemble(
     j of one random((size, 5)) block of child SeedSequence(seed,
     spawn_key=(0,)), and its normals from child (1,) after member j-1's,
     so it does not depend on `size` (a positive integer; `seed` is a
-    nonnegative one). The members' packed arrays are rescaled in one pass
-    over their concatenation; the spectra are views into that array."""
-    require_count(size, "ensemble size", least=1)
-    require_count(seed, "seed")
-    lo, hi = kr_range
-    require_finite(kr_lo=lo, kr_hi=hi)
-    if lo < KR_MIN_ESTIMATES or hi < lo:
-        raise DomainError(f"kR range must satisfy {KR_MIN_ESTIMATES:g} <= lo <= hi, got [{lo}, {hi}]")
-    params, normals = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    u = params.random((size, 5)).T
-    kinds = (2.0 * u[0]).astype(np.intp)  # an index into _DECAY_KINDS
-    rates = 0.3 + 1.2 * u[1]
-    max_degrees = (1 + (30.0 * u[2]).astype(np.intp)).tolist()
-    ks = (lo + (hi - lo) * u[3]).tolist()
-    norms = 0.05 + 0.9 * u[4]
-    raw = _complex_normals(normals, max_degrees)
-    # each member's profile, padded to the widest, and each slot's bin in it
-    width = max(max_degrees) + 1
-    target = np.empty((size, width))
-    for index, kind in enumerate(_DECAY_KINDS):
-        rows = kinds == index
-        target[rows] = _decay(kind, rates[rows, None], 1.0, width - 1)
+    nonnegative one). Only this function draws from child (1,). The
+    members' packed arrays are rescaled in one pass over their
+    concatenation, each degree straight to its closed-form magnitude;
+    the spectra are views into that array."""
+    max_degrees, ks, magnitudes = _ensemble_magnitudes(size, seed, kr_range)
+    normals = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     member, degree = stacked_index(max_degrees)
-    coefficients = _with_degree_magnitudes(raw, member * width + degree, target.ravel())
-    # one pairwise sum per member, as energy() sums it; np.add.reduceat
-    # would round differently
+    raw = _complex_normals(normals, max_degrees)
+    coefficients = _with_degree_magnitudes(raw, member * (N_MAX_SUPPORTED + 1) + degree,
+                                           magnitudes.ravel())
     sizes = (np.array(max_degrees) + 1) ** 2
-    energy = [float(np.sum(part)) for part in _pieces(np.abs(coefficients) ** 2, sizes)]
-    coefficients *= np.repeat(norms / np.sqrt(energy), sizes)
     return [(CoefficientSpectrum.from_packed(part), k)
-            for part, k in zip(_pieces(coefficients, sizes), ks)]
+            for part, k in zip(_pieces(coefficients, sizes), ks.tolist())]
 
 
 def ensemble_verify(
@@ -331,9 +340,12 @@ def ensemble_verify(
     kr_range: tuple[float, float] = (2.0, 100.0),
 ) -> tuple[int, float]:
     """Check one stability estimate on `random_ensemble(size, seed,
-    kr_range)`; returns (failures, min_slack)."""
-    reports = verify_ensemble(random_ensemble(size, seed, kr_range), 1.0, which)
-    return sum(not r.satisfied for r in reports), min(r.rhs_total - r.lhs for r in reports)
+    kr_range)`; returns (failures, min_slack). The estimates read only the
+    members' per-degree magnitudes, so it draws no coefficients."""
+    _, ks, magnitudes = _ensemble_magnitudes(size, seed, kr_range)
+    _, lhs, _, terms = verify_magnitudes(magnitudes, ks, 1.0, which)
+    total = terms.total
+    return int(np.count_nonzero(~(lhs <= total))), float(np.min(total - lhs))
 
 
 def mean_errors_by_k(rows: list[SweepRow]) -> dict[float, float]:

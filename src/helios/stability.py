@@ -16,9 +16,10 @@ eps2, and an a-priori term in M/(E + k):
 When eps2 = 0, E = +inf and every E-denominated or eps2-weighted term is
 zero (the continuous limit of the estimates): R^2 M^2 / inf is that zero.
 
-`verify_theorem` takes one `CoefficientSpectrum` and a wavenumber k;
-`verify_ensemble` takes a list of (CoefficientSpectrum, k) pairs and
-returns one report per pair.
+The estimates read a spectrum only through its per-degree magnitudes:
+`verify_magnitudes` takes rows of them, one per wavenumber, and returns
+columns; `verify_theorem` (one `CoefficientSpectrum` and k) and
+`verify_ensemble` (a list of such pairs) return one report per pair.
 
 Every argument of an estimate or a corollary is a float or an array, and
 arrays broadcast against each other. An array call equals the element-wise
@@ -147,17 +148,29 @@ def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str
 
 
 @_quiet
-def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
-    """`verify_theorem` for every (CoefficientSpectrum, k) pair of
-    `members` on one sphere of radius R, as column operations on one
-    member x degree matrix of aggregate magnitudes, from one bincount over
-    the members' concatenated coefficients, and its `near_field_trace`.
-    Every row is padded to degree N_MAX_SUPPORTED and
-    every trace comes from one Hankel table to that degree, so no sum over
-    a row depends on the other members: each report equals that of
-    `verify_theorem` bit for bit."""
+def verify_magnitudes(magnitudes, ks, R: float, which: str):
+    """The columns of estimate `which` for rows of per-degree magnitudes,
+    row j at wavenumber ks[j], on a sphere of radius R: the split, lhs,
+    the a-priori norm M1 (M2 for T1der) and the `RhsTerms`, each an array
+    over the rows. A row's columns do not depend on the other rows."""
     if which not in _RHS:
         raise DomainError(f"unknown estimate {which!r} (expected T1, T2, or T1der)")
+    split = split_spectrum(magnitudes, ks, R)  # also checks kR against field.KR_MIN
+    values, radial_derivatives = near_field_trace(magnitudes, ks, R)
+    trace = radial_derivatives if which == "T1der" else values
+    lhs = sobolev_norm_sq(trace, 0, R)
+    M = np.sqrt(sobolev_norm_sq(trace, 1, R))
+    return split, lhs, M, _RHS[which](split.eps1, split.eps2, split.E, ks, R, M)
+
+
+def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
+    """`verify_theorem` for every (CoefficientSpectrum, k) pair of
+    `members` on one sphere of radius R: `verify_magnitudes` of the member
+    x degree matrix of aggregate magnitudes from one bincount over their
+    concatenated coefficients. Every row is padded to degree
+    N_MAX_SUPPORTED and every trace comes from one Hankel table to that
+    degree, so no sum over a row depends on the other members: each
+    report equals that of `verify_theorem` bit for bit."""
     ks = np.array([k for _, k in members], dtype=float)
     width = N_MAX_SUPPORTED + 1
     member, degree = stacked_index([spectrum.max_degree for spectrum, _ in members])
@@ -165,12 +178,7 @@ def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
                                   + [spectrum.coefficients for spectrum, _ in members])
     magnitudes = aggregate_bins(coefficients, member * width + degree, len(members) * width
                                 ).reshape(len(members), width)
-    split = split_spectrum(magnitudes, ks, R)  # also checks kR against field.KR_MIN
-    values, radial_derivatives = near_field_trace(magnitudes, ks, R)
-    trace = radial_derivatives if which == "T1der" else values
-    lhs_col = sobolev_norm_sq(trace, 0, R)
-    M_col = np.sqrt(sobolev_norm_sq(trace, 1, R))
-    terms = _RHS[which](split.eps1, split.eps2, split.E, ks, R, M_col)
+    split, lhs_col, M_col, terms = verify_magnitudes(magnitudes, ks, R, which)
     columns = (ks, split.N, split.eps1, split.eps2, split.E, M_col, lhs_col, *terms)
     norm = "M2" if which == "T1der" else "M1"
     reports = []

@@ -186,7 +186,7 @@ def test_stability_verify_output_is_pinned(capsys):
         "stability-verify", "--ensemble-size", "200", "--seed", "0", "--which", "T2",
     ]) == 0
     assert capsys.readouterr().out == (
-        "which=T2 ensemble=200 failures=0 min_slack=0.011648468197133438\n")
+        "which=T2 ensemble=200 failures=0 min_slack=0.011648468197133433\n")
 
 
 @pytest.mark.parametrize("which", ["T1", "T2"])

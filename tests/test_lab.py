@@ -19,7 +19,7 @@ from helios.lab import (
     mean_errors_by_k,
     perturb,
 )
-from helios.stability import corollary_hard_terms, corollary_soft_terms
+from helios.stability import corollary_hard_terms, corollary_soft_terms, verify_ensemble
 
 CANONICAL_PROFILE = DecayProfile("exponential", 1.0, 10, seed=7)
 
@@ -200,6 +200,9 @@ def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_two_per_ensemble
         built.clear()
         assert len(lab.random_ensemble(size, 3)) == size
         assert [seed.spawn_key for seed in built] == [(0,), (1,)]
+        built.clear()
+        assert ensemble_verify(size, 3, "T1")[0] == 0
+        assert [seed.spawn_key for seed in built] == [(0,)]  # the parameters, no normals
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
@@ -260,9 +263,9 @@ def test_ensemble_small():
 
 
 @pytest.mark.parametrize("which, expected", [
-    ("T1", (0, 0.010707661935397492)),
-    ("T2", (0, 0.010707661935397492)),  # the same member, whose eps2 = 0 leaves no Hoelder term
-    ("T1der", (0, 1.722174121861927)),
+    ("T1", (0, 0.010707661935397498)),
+    ("T2", (0, 0.010707661935397498)),  # the same member, whose eps2 = 0 leaves no Hoelder term
+    ("T1der", (0, 1.7221741218619275)),
 ])
 def test_ensemble_verify_is_pinned(which, expected):
     assert ensemble_verify(1000, seed=0, which=which) == expected
@@ -471,10 +474,15 @@ def frozen_random_ensemble(size, seed, kr_range=(2.0, 100.0)):
             seed=0,  # unused: the normals come from the ensemble's stream
         )
         k = lo + (hi - lo) * u[3]
-        target = 0.05 + 0.9 * u[4]
+        norm = 0.05 + 0.9 * u[4]
+        # the closed-form magnitudes: the profile scaled to the target norm,
+        # its squares summed over a row padded to degree 60
+        target = np.zeros(61)
+        target[: profile.max_degree + 1] = profile.degree_magnitudes()
+        magnitudes = target * (norm / math.sqrt(np.sum(target * target)))
         spectrum = frozen_with_magnitudes(loop_normals(normals, profile.max_degree),
-                                          profile.degree_magnitudes())
-        out.append((spectrum.scaled(target / math.sqrt(spectrum.energy())), k))
+                                          magnitudes[: profile.max_degree + 1])
+        out.append((spectrum, k))
     return out
 
 
@@ -536,3 +544,45 @@ def test_one_bincount_aggregates_each_member(size):
     for row, (spectrum, _) in zip(magnitudes, members):
         assert row[: spectrum.max_degree + 1].tobytes() == frozen_aggregate(spectrum).tobytes()
         assert not row[spectrum.max_degree + 1 :].any()
+
+
+ENSEMBLE_RANGES = [(2.0, 100.0), (2.5, 60.0)]
+
+
+@pytest.mark.parametrize("kr_range", ENSEMBLE_RANGES)
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+@pytest.mark.parametrize("size", [1, 37, 1000])
+def test_closed_form_magnitudes_are_the_member_aggregates(size, seed, kr_range):
+    # ensemble_verify reads these rows; random_ensemble rescales to them
+    max_degrees, ks, magnitudes = lab._ensemble_magnitudes(size, seed, kr_range)
+    members = lab.random_ensemble(size, seed, kr_range)
+    assert magnitudes.shape == (size, 61)
+    assert max_degrees == [spectrum.max_degree for spectrum, _ in members]
+    assert ks.tobytes() == np.array([k for _, k in members]).tobytes()
+    for row, (spectrum, _) in zip(magnitudes, members):
+        padded = np.zeros(61)
+        padded[: spectrum.max_degree + 1] = aggregate(spectrum)
+        assert np.array_equal(row == 0.0, padded == 0.0)
+        assert np.all(np.abs(padded - row) <= 2e-15 * row)
+
+
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+@pytest.mark.parametrize("size, seed, kr_range", [(1, 0, ENSEMBLE_RANGES[0]),
+                                                  (200, 5, ENSEMBLE_RANGES[1]),
+                                                  (1000, 2024, ENSEMBLE_RANGES[0])])
+def test_ensemble_verify_equals_verify_ensemble_of_the_members(which, size, seed, kr_range):
+    failures, min_slack = ensemble_verify(size, seed, which, kr_range)
+    reports = verify_ensemble(lab.random_ensemble(size, seed, kr_range), 1.0, which)
+    assert failures == sum(not report.satisfied for report in reports)
+    assert min_slack == pytest.approx(min(report.rhs_total - report.lhs for report in reports),
+                                      rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_closed_form_rows_do_not_depend_on_the_ensemble_size(seed):
+    large = lab._ensemble_magnitudes(60, seed, (2.5, 60.0))
+    for size in (1, 7, 59):
+        max_degrees, ks, magnitudes = lab._ensemble_magnitudes(size, seed, (2.5, 60.0))
+        assert max_degrees == large[0][:size]
+        assert ks.tobytes() == large[1][:size].tobytes()
+        assert magnitudes.tobytes() == large[2][:size].tobytes()
