@@ -42,7 +42,7 @@ class SpectralSplit:
     E: float  # -ln(eps2), +inf when eps2 == 0
 
 
-def _check_kR(k, R):
+def check_kR(k, R):
     """kR, once k and R are positive and finite and kR >= KR_MIN is finite."""
     require_positive(k=k, R=R)
     with np.errstate(over="ignore"):  # reported below as a CapacityError
@@ -64,18 +64,27 @@ def _per_degree(data, name: str) -> np.ndarray:
     return data
 
 
+def _check_k_rows(k, magnitudes: np.ndarray) -> None:
+    """DomainError unless k broadcasts over the leading axes of the
+    per-degree `magnitudes`."""
+    k_shape, rows = np.shape(k), magnitudes.shape[:-1]
+    if any(a != b and 1 not in (a, b) for a, b in zip(k_shape[::-1], rows[::-1])):
+        raise DomainError(f"k of shape {k_shape} does not broadcast over the leading axes of "
+                          f"magnitudes of shape {magnitudes.shape}")
+
+
 def default_cutoff(k, R):
     """The stability split cutoff N = floor(sqrt(kR)): an int, or for array
     k or R a float array of those integers (a float holds each of them
     exactly; an int64 would overflow beyond kR of about 8.5e37)."""
-    N = np.floor(np.sqrt(_check_kR(k, R)))
+    N = np.floor(np.sqrt(check_kR(k, R)))
     return N if N.ndim else int(N)
 
 
 def hankel_factors(max_degree: int, k: float, R: float) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of H_n(kR) and H_n'(kR) for n = 0..max_degree (one column of
     the Hankel table)."""
-    values, derivatives = hankel_table(max_degree, _check_kR(k, R))
+    values, derivatives = hankel_table(max_degree, check_kR(k, R))
     return values[:, 0], derivatives[:, 0]
 
 
@@ -87,7 +96,8 @@ def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
     derivative is (i k a_n H_n') * k: k^2 alone overflows for k beyond
     about 1.3e154, where H_n'(kR) ~ 1/(kR) keeps the derivative finite."""
     magnitudes = _per_degree(magnitudes, "magnitudes")
-    kR = _check_kR(k, R)
+    _check_k_rows(k, magnitudes)
+    kR = check_kR(k, R)
     h, hp = hankel_table(magnitudes.shape[-1] - 1, kR)
     shape = np.shape(kR) + h.shape[:1]
     k = np.asarray(k, dtype=float)[..., None]
@@ -132,6 +142,7 @@ def split_spectrum(magnitudes, k, R: float) -> SpectralSplit:
     1-D array."""
     N = default_cutoff(k, R)
     magnitudes = _per_degree(magnitudes, "magnitudes")
+    _check_k_rows(k, magnitudes)
     low = np.arange(magnitudes.shape[-1]) <= np.asarray(N)[..., None]
     # an overflow is reported below as a CapacityError; eps2 = 0 gives E = +inf
     with np.errstate(over="ignore", divide="ignore"):

@@ -11,12 +11,16 @@ estimates read only the per-degree magnitudes the parameters fix, so
 and depends neither on the replicate count or ensemble size nor on the
 order of the wavenumbers.
 
-Replicates and ensemble members are batched, not looped over: a sweep
-holds one wavenumber's S replicates as the rows of one (S x (L+1)^2)
-packed array, and splits and budgets the stacked (K x S x (L+1))
-magnitudes of its K wavenumbers in one call each; an ensemble rescales
-its members' concatenated packed arrays in one pass. `perturb` and
-`make_spectrum` are the one-row calls of the same helpers.
+Replicates and ensemble members are batched, not looped over. A sweep
+does its per-sweep work once for its K wavenumbers: their gains come
+from one array-k `obstacle.gain` call (one Hankel table) and their
+forward maps from one product. It holds one wavenumber's S replicates as
+the rows of one (S x (L+1)^2) packed array, aggregates that wavenumber's
+noisy, recovered and error arrays with one bincount, and splits and
+budgets the stacked (K x S x (L+1)) magnitudes of its K wavenumbers in
+one call each. An ensemble rescales its members' concatenated packed
+arrays in one pass. `perturb` and `make_spectrum` are the one-row calls
+of the same helpers.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from .harmonics import (CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index,
                         stacked_index)
-from .obstacle import BoundaryPerturbation, apply_gain, gain, truncated_quotient
+from .obstacle import BoundaryPerturbation, forward_product, gain, truncated_quotient
 from .specfun import N_MAX_SUPPORTED
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
                         verify_magnitudes)
@@ -210,18 +214,22 @@ def ksweep(
     first-order norm of the recovered perturbation; lhs is that squared
     surface norm itself.
 
-    Rows come in ascending k, replicates in order. Per wavenumber, the
-    `seeds` (>= 1) replicates are the rows of one array, replicate rep's
-    noise the rep-th block of one draw of default_rng(SeedSequence(
-    master_seed, spawn_key=(k_index,))), k_index the wavenumber's position
-    in k_list. The noisy, recovered and error magnitudes of all replicates
-    come from one bincount each; the split, the norms and the budget are
-    one call each on the stacked (wavenumber x seeds x degree) magnitudes.
+    Rows come in ascending k, replicates in order. The gains of all
+    wavenumbers come from one Hankel table (`gain` of the array of k), and
+    their forward maps from one product. Per wavenumber, the `seeds`
+    (>= 1) replicates are the rows of one array, replicate rep's noise the
+    rep-th block of one draw of default_rng(SeedSequence(master_seed,
+    spawn_key=(k_index,))), k_index the wavenumber's position in k_list.
+    The noisy, recovered and error magnitudes of all its replicates come
+    from one bincount; the split, the norms and the budget are one call
+    each on the stacked (wavenumber x seeds x degree) magnitudes.
+
     Every row is bit-equal to a per-replicate evaluation, and does not
-    depend on the number of replicates or on the other wavenumbers. A sweep with one failing wavenumber raises what that
-    wavenumber raises alone; with several, the first stage that fails
-    (the gains, the forward maps, the noise level, the inverse, the split,
-    the norms, the budget) raises."""
+    depend on the number of replicates or on the other wavenumbers. A
+    sweep with one failing wavenumber raises what that wavenumber raises
+    alone. With several, the first stage that fails (the gains, the
+    forward maps, the noise level, the inverse, the split, the norms, the
+    budget) raises."""
     if not k_list:
         raise DomainError("k_list must be nonempty")
     require_count(seeds, "seeds", least=1)
@@ -230,10 +238,10 @@ def ksweep(
     order = sorted(range(len(k_list)), key=lambda i: k_list[i])
     ks = np.array([float(k_list[i]) for i in order])
     L = d.spectrum.max_degree
-    # one diagonal gain per wavenumber serves the forward map and every
-    # replicate's inverse
-    factors = [gain(kind, k, R, L) for k in ks.tolist()]
-    amplitudes = [apply_gain(d.spectrum, row) for row in factors]
+    # one gain row per wavenumber, from one Hankel table, serves the
+    # forward map and every replicate's inverse
+    factors = gain(kind, ks, R, L)
+    amplitudes = forward_product(d.spectrum, factors)
     cutoffs = default_cutoff(ks, R)
     _check_noise_level(delta)
 
@@ -241,23 +249,27 @@ def ksweep(
     # slot-level arrays are one wavenumber's at a time, and never a
     # (wavenumber x replicate x slot) tensor
     magnitudes = np.empty((3, len(ks), seeds, L + 1))
-    bins = (np.arange(seeds)[:, None] * (L + 1) + packed_index(L)[0]).ravel()
+    bins = (np.arange(3 * seeds)[:, None] * (L + 1) + packed_index(L)[0]).ravel()
 
-    def per_degree(rows: np.ndarray) -> np.ndarray:
-        return aggregate_bins(rows.ravel(), bins, seeds * (L + 1)).reshape(seeds, L + 1)
-
-    for i, (k_index, amplitude) in enumerate(zip(order, amplitudes)):
+    for i, k_index in enumerate(order):
         if delta == 0.0:
-            noisy = np.tile(amplitude.coefficients, (seeds, 1))
+            noisy = np.tile(amplitudes[i], (seeds, 1))
         else:
             rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k_index,)))
-            noisy = _with_noise(amplitude.coefficients, delta, rng, seeds)
+            noisy = _with_noise(amplitudes[i], delta, rng, seeds)
         recovered = truncated_quotient(noisy, factors[i], int(cutoffs[i]))
-        magnitudes[0, i] = per_degree(noisy)
-        magnitudes[1, i] = per_degree(recovered)
+        # the moduli of the three feed one bincount (the abs of a modulus is
+        # itself), and each bin sums its slots in slot order; the buffer is
+        # made after the noise draw has freed its arrays
+        moduli = np.empty((3, *noisy.shape))
+        np.abs(noisy, out=moduli[0])
+        np.abs(recovered, out=moduli[1])
         recovered -= d.spectrum.coefficients  # the error, in place
-        magnitudes[2, i] = per_degree(recovered)
-        del noisy, recovered  # before the next wavenumber's arrays are made
+        np.abs(recovered, out=moduli[2])
+        del noisy, recovered
+        magnitudes[:, i] = aggregate_bins(moduli.ravel(), bins, 3 * seeds * (L + 1)
+                                          ).reshape(3, seeds, L + 1)
+        del moduli  # before the next wavenumber's arrays are made
     noisy_rows, recovered_rows, error_rows = magnitudes
 
     k_column = ks[:, None]

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .field import default_cutoff, hankel_factors
+from .field import check_kR, default_cutoff
 from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, packed_index, synthesize
-from .specfun import N_MAX_SUPPORTED, require_order
+from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
 from .util import require_positive
 
 
@@ -75,14 +75,41 @@ def incident_trace(kind: str, k: float, R: float) -> IncidentWave:
     return IncidentWave(kind=kind, k=k, R=R, trace_value=value, trace_radial_derivative=derivative)
 
 
-def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
+def gain(kind: str, k, R: float, max_degree: int) -> np.ndarray:
     """Per-degree factor mapping d_{m,n} to the far-field a_{m,n} of the
-    soft or hard obstacle."""
-    wave = incident_trace(kind, k, R)
-    h, hp = hankel_factors(max_degree, k, R)
+    soft or hard obstacle, n = 0..max_degree.
+
+    A 1-D array k gives a (len(k), max_degree + 1) array from one Hankel
+    table, row i bit-equal to the call for the float k[i]; if some k
+    fails, it raises what the call for the smallest failing k raises."""
+    ndim = np.ndim(k)
+    if ndim > 1:
+        raise DomainError(f"k must be a float or a 1-D array, got an array of shape {np.shape(k)}")
+    ks = np.ravel(k).tolist()  # Python scalars, so each numerator is CPython arithmetic
+    try:
+        factors = _gains(kind, ks, R, max_degree)
+    except (DomainError, CapacityError):
+        if len(ks) > 1:
+            for one in np.sort(ks).tolist():
+                _gains(kind, [one], R, max_degree)
+        raise
+    return factors if ndim else factors[0]
+
+
+def _gains(kind: str, ks: list, R: float, max_degree: int) -> np.ndarray:
+    """The gains of `gain`, one row per wavenumber of the list ks."""
+    # incident_trace checks each k, R and the kind; its numerators stay
+    # Python complex values (numpy's complex division rounds differently)
+    waves = [incident_trace(kind, k, R) for k in ks]
+    k = np.array(ks, dtype=float)
+    h, hp = hankel_table(max_degree, check_kR(k, R))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
-        factors = (-wave.trace_radial_derivative / (1j * k * h) if kind == "soft"
-                   else wave.trace_value / (1j * hp))
+        if kind == "soft":
+            numerators = np.array([-wave.trace_radial_derivative for wave in waves], dtype=complex)
+            factors = numerators[:, None] / (1j * k[:, None] * h.T)
+        else:
+            numerators = np.array([wave.trace_value for wave in waves], dtype=complex)
+            factors = numerators[:, None] / (1j * hp.T)
     # an inverse would divide by an infinite gain and silently return zero
     if not np.isfinite(factors).all():
         raise CapacityError(f"a {kind}-obstacle gain exceeds the floating range")
@@ -91,11 +118,18 @@ def gain(kind: str, k: float, R: float, max_degree: int) -> np.ndarray:
 
 def apply_gain(spectrum: CoefficientSpectrum, factors: np.ndarray) -> CoefficientSpectrum:
     """The diagonal forward map: each coefficient times its degree's gain."""
+    return CoefficientSpectrum.from_packed(forward_product(spectrum, factors))
+
+
+def forward_product(spectrum: CoefficientSpectrum, factors: np.ndarray) -> np.ndarray:
+    """The packed coefficients of `apply_gain`; a (K, L+1) array of gains
+    (`gain` of K wavenumbers) gives one row per wavenumber, each bit-equal
+    to `apply_gain` of that row."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
-        coefficients = factors[spectrum.degrees] * spectrum.coefficients
+        coefficients = factors[..., spectrum.degrees] * spectrum.coefficients
     if not np.isfinite(coefficients).all():
         raise CapacityError("a forward-mapped coefficient exceeds the floating range")
-    return CoefficientSpectrum.from_packed(coefficients)
+    return coefficients
 
 
 def truncated_inverse(

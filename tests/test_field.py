@@ -301,9 +301,28 @@ def test_the_kr_check_raises_alike_for_floats_and_arrays(k, R, error, message):
         assert str(caught.value) == message
 
 
+MISMATCHED_ROWS = (r"^k of shape \(3,\) does not broadcast over the leading axes of magnitudes "
+                   r"of shape \(2, 61\)$")
+
+
+@pytest.mark.parametrize("entry", [split_spectrum, near_field_trace], ids=lambda f: f.__name__)
+def test_k_that_does_not_match_the_rows_is_a_domain_error(entry):
+    with pytest.raises(DomainError, match=MISMATCHED_ROWS):
+        entry(np.ones((2, 61)) * 0.01, np.array([4.0, 5.0, 6.0]), 1.0)
+
+
+@pytest.mark.parametrize("k_shape", [(), (1,), (2,), (2, 1), (3, 1), (3, 2)])
+def test_k_that_broadcasts_over_the_rows_is_accepted(k_shape):
+    magnitudes = np.full((2, 5), 0.01)
+    k = np.full(k_shape, 4.0)
+    values, _ = near_field_trace(magnitudes, k, 1.0)
+    assert values.shape == np.broadcast_shapes(k_shape, (2,)) + (5,)
+    assert np.shape(split_spectrum(magnitudes, k, 1.0).eps1) == np.broadcast_shapes(k_shape, (2,))
+
+
 def test_the_kr_check_returns_the_product():
-    assert field._check_kR(4.0, 0.25) == 1.0
-    assert field._check_kR(0.1, 1.0) == 0.1  # the floor itself is supported
+    assert field.check_kR(4.0, 0.25) == 1.0
+    assert field.check_kR(0.1, 1.0) == 0.1  # the floor itself is supported
     assert default_cutoff(2.0, 1.0) == 1 and isinstance(default_cutoff(2.0, 1.0), int)
 
 

@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helios import lab, obstacle
+from helios import field, lab, obstacle, specfun
 from helios.errors import CapacityError, DomainError
 from helios.field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
 from helios.harmonics import CoefficientSpectrum, aggregate, aggregate_bins, stacked_index
@@ -163,22 +164,41 @@ def test_several_failing_wavenumbers_raise_the_first_failing_stage(kind, error, 
         assert str(caught.value) == message
 
 
-def test_sweep_computes_factors_once_per_wavenumber(monkeypatch):
-    # the forward map and every replicate's inverse share one gain per k
+def test_sweep_builds_one_hankel_table(monkeypatch):
+    # the forward maps and every replicate's inverse share one gain row per
+    # k, and the gains of all wavenumbers come from one table
     calls = []
-    real = obstacle.hankel_factors
+    real = specfun.hankel_table
 
-    def counted(max_degree, k, R):
-        calls.append(k)
-        return real(max_degree, k, R)
+    def counted(nmax, t):
+        calls.append((nmax, np.array(t, dtype=float).tolist()))
+        return real(nmax, t)
 
-    monkeypatch.setattr(obstacle, "hankel_factors", counted)
+    for module in (specfun, field, obstacle):
+        monkeypatch.setattr(module, "hankel_table", counted)
     d = make_real_perturbation(CANONICAL_PROFILE)
     for kind in ("soft", "hard"):
         calls.clear()
-        rows = ksweep(d, 1.0, [8.0, 2.0, 4.0], delta=1e-3, seeds=5, kind=kind)
+        rows = ksweep(d, 1.5, [8.0, 2.0, 4.0], delta=1e-3, seeds=5, kind=kind)
         assert len(rows) == 15
-        assert calls == [2.0, 4.0, 8.0]
+        assert calls == [(10, [3.0, 6.0, 12.0])]
+
+
+def test_sweep_memory_peak_is_bounded():
+    # slot-level arrays are one wavenumber's at a time: the traced peak of a
+    # 6-wavenumber, 10-replicate sweep at degree 30 stays within 1.25 times
+    # the 894 491 bytes of the sweep that built one gain per wavenumber
+    # (Python 3.11, numpy 2.4)
+    d = make_real_perturbation(DecayProfile("exponential", 0.4, 30, seed=3))
+    k_list = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    ksweep(d, 1.0, k_list, 1e-3, 10, kind="hard")  # warm any cache first
+    tracemalloc.start()
+    try:
+        ksweep(d, 1.0, k_list, 1e-3, 10, kind="hard")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 894_491
 
 
 def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_two_per_ensemble(monkeypatch):

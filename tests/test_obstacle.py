@@ -9,8 +9,10 @@ from helios.harmonics import CoefficientSpectrum
 from helios.lab import DecayProfile, make_real_perturbation
 from helios.obstacle import (
     BoundaryPerturbation,
+    apply_gain,
     default_cutoff,
     forward_hard,
+    forward_product,
     forward_soft,
     gain,
     incident_trace,
@@ -84,6 +86,66 @@ def test_gain_is_bit_identical_to_the_frozen_formulas(k, R):
 def test_gain_rejects_unknown_kind():
     with pytest.raises(DomainError, match="unknown obstacle kind"):
         gain("mixed", 4.0, 1.0, 3)
+
+
+# k values that are not powers of two, so every product with k rounds
+GAIN_KS = [2.3, 0.61, 7.77, 13.1, 41.9, 3.3, 100.7]
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+@pytest.mark.parametrize("R", [0.7, 1.0, 1.65478, 2.5])
+@pytest.mark.parametrize("max_degree", [0, 17, 60])
+def test_array_k_gain_rows_are_the_scalar_gains(kind, R, max_degree):
+    rows = gain(kind, np.array(GAIN_KS), R, max_degree)
+    assert rows.shape == (len(GAIN_KS), max_degree + 1)
+    for row, k in zip(rows, GAIN_KS):
+        assert row.tobytes() == gain(kind, k, R, max_degree).tobytes()
+    assert gain(kind, GAIN_KS[:1], R, max_degree).tobytes() == rows[:1].tobytes()  # a list
+    assert gain(kind, np.float64(GAIN_KS[0]), R, max_degree).tobytes() == rows[0].tobytes()
+
+
+@pytest.mark.parametrize("kind, ks, R", [
+    ("soft", [5.0, -1.0, 0.01], 1.0),              # k <= 0 before kR < KR_MIN
+    ("hard", [0.01, math.inf, 3.0], 1.0),          # the smaller kR fails first
+    ("soft", [math.nan, 3.0], 1.0),
+    ("hard", [7.0, 0.03, 0.02], 2.5),              # kR = 0.05 names the smallest
+    ("soft", [7.0, 1e308, 0.5], 2.5),              # kR beyond the float range
+    ("soft", [1e308, 3.0], 1.65478028276691),      # the gain itself overflows
+    ("mixed", [3.0, 4.0], 1.0),
+    ("soft", [3.0, 4.0], -1.0),
+])
+def test_array_k_gain_raises_the_error_of_its_smallest_failing_k(kind, ks, R):
+    failing = []
+    for k in ks:
+        try:
+            gain(kind, k, R, 20)
+        except (DomainError, CapacityError) as error:
+            failing.append((k, type(error), str(error)))
+    assert failing
+    _, error, message = min(failing, key=lambda item: item[0])
+    for order in (ks, ks[::-1]):
+        with pytest.raises(error) as caught:
+            gain(kind, np.array(order), R, 20)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("k", [np.ones((2, 3)), [[4.0]]], ids=["2-d array", "nested list"])
+def test_gain_rejects_k_of_more_than_one_axis(k):
+    with pytest.raises(DomainError, match=r"^k must be a float or a 1-D array, got an array of shape "):
+        gain("soft", k, 1.0, 3)
+
+
+def test_an_empty_k_gives_no_rows():
+    assert gain("hard", np.array([]), 1.0, 4).shape == (0, 5)
+
+
+@pytest.mark.parametrize("kind", ["soft", "hard"])
+def test_forward_product_rows_are_the_forward_maps(kind):
+    d = make_real_perturbation(DecayProfile("algebraic", 1.3, 12, seed=4)).spectrum
+    rows = forward_product(d, gain(kind, np.array(GAIN_KS), 0.7, 12))
+    assert rows.shape == (len(GAIN_KS), 169)
+    for row, k in zip(rows, GAIN_KS):
+        assert row.tobytes() == apply_gain(d, gain(kind, k, 0.7, 12)).coefficients.tobytes()
 
 
 def test_forward_soft_monopole_magnitude():

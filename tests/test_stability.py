@@ -15,6 +15,7 @@ from helios.stability import (
     rhs_T1der,
     rhs_T2,
     verify_ensemble,
+    verify_magnitudes,
     verify_theorem,
 )
 
@@ -289,6 +290,13 @@ def test_an_overflowing_energy_split_raises_capacity_error(which):
     members = random_ensemble(3, 5)
     with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
         verify_ensemble(members[:1] + [(spectrum, 1e5)] + members[1:], 10.0, which)
+
+
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+def test_wavenumbers_that_do_not_match_the_rows_are_a_domain_error(which):
+    with pytest.raises(DomainError, match=r"^k of shape \(3,\) does not broadcast over the leading "
+                                          r"axes of magnitudes of shape \(2, 61\)$"):
+        verify_magnitudes(np.ones((2, 61)) * 0.01, np.array([4.0, 5.0, 6.0]), 1.0, which)
 
 
 @pytest.mark.parametrize("which", ["T1", "T2"])
