@@ -54,7 +54,6 @@ from .stability import (
     rhs_T1,
     rhs_T1der,
     rhs_T2,
-    verify_ensemble,
     verify_theorem,
 )
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .harmonics import CoefficientSpectrum, SphereGrid, aggregate, synthesize
-from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
-from .util import require_finite, require_positive
+from .specfun import hankel_table
+from .util import require_count, require_finite, require_positive
 
 KR_MIN = 0.1
 
@@ -158,8 +158,7 @@ def split_spectrum(magnitudes, k, R: float) -> SpectralSplit:
 def low_pass(obj, N: int):
     """Zero all degrees above N of a spectrum, or of an array indexed by
     degree along its last axis; returns a new object of the same type."""
-    # a cutoff above the degree cap is valid: it keeps every degree
-    require_order(min(N, N_MAX_SUPPORTED), "cutoff N")
+    N = require_count(N, "cutoff N")  # above the degree cap it keeps every degree
     if isinstance(obj, CoefficientSpectrum):
         coefficients = obj.coefficients.copy()
         coefficients[(N + 1) ** 2 :] = 0.0  # the slots of degrees above N

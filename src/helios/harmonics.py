@@ -52,18 +52,6 @@ def packed_index(max_degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _DEGREE[:size], _ORDER[:size]
 
 
-def stacked_index(max_degrees) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum j and degree n of each slot of the packed arrays of spectra
-    of degrees max_degrees[j], concatenated in that order (the degrees are
-    those of `packed_index` of each spectrum, one after another). Every
-    degree is checked as `packed_index` checks it."""
-    for max_degree in set(max_degrees):
-        require_order(max_degree, "max_degree")
-    sizes = [(max_degree + 1) ** 2 for max_degree in max_degrees]
-    return (np.repeat(np.arange(len(sizes)), sizes),
-            np.concatenate([_DEGREE[:0], *(_DEGREE[:size] for size in sizes)]))
-
-
 def _index_pair(key) -> tuple[int, int]:
     """The (n, m) of a key, which must be a pair of integers with |m| <= n."""
     try:

@@ -4,12 +4,11 @@ the stability budget behave as k doubles.
 
 All randomness flows through one numpy Generator per stream: a sweep
 draws a wavenumber's replicates in turn from the stream (master seed,
-k index), an ensemble its members' parameters from child (0,) of its seed
-and, in `random_ensemble` only, their normals from child (1,); the
-estimates read only the per-degree magnitudes the parameters fix, so
-`ensemble_verify` draws no normals. Output is bit-identical across runs
-and depends neither on the replicate count or ensemble size nor on the
-order of the wavenumbers.
+k index), an ensemble its members' parameters from child (0,) of its seed;
+child (1,) is unused. The estimates read only the per-degree magnitudes
+the parameters fix (`ensemble_magnitudes`), so an ensemble draws no
+normals. Output is bit-identical across runs and depends neither on the
+replicate count or ensemble size nor on the order of the wavenumbers.
 
 Replicates and ensemble members are batched, not looped over. A sweep
 does its per-sweep work once for its K wavenumbers: their gains come
@@ -18,22 +17,22 @@ forward maps from one product. It holds one wavenumber's S replicates as
 the rows of one (S x (L+1)^2) packed array, aggregates that wavenumber's
 noisy, recovered and error arrays with one bincount, and splits and
 budgets the stacked (K x S x (L+1)) magnitudes of its K wavenumbers in
-one call each. An ensemble rescales its members' concatenated packed
-arrays in one pass. `perturb` and `make_spectrum` are the one-row calls
-of the same helpers.
+one call each. An ensemble's members are the rows of one (size x 61)
+magnitude array. `perturb` and `make_spectrum` are the one-row calls of
+the same helpers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from .harmonics import (CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index,
-                        stacked_index)
+from .harmonics import CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index
 from .obstacle import BoundaryPerturbation, forward_product, gain, truncated_quotient
 from .specfun import N_MAX_SUPPORTED
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
@@ -80,27 +79,19 @@ def _validate_profile(profile: DecayProfile) -> None:
     require_count(profile.seed, "profile seed")
 
 
-def _pieces(array: np.ndarray, sizes) -> list[np.ndarray]:
-    """Consecutive views of a 1-D array, of the given sizes (np.split
-    costs several numpy calls per piece)."""
-    ends = np.cumsum(sizes).tolist()
-    return [array[end - size : end] for size, end in zip(np.asarray(sizes).tolist(), ends)]
-
-
-def _complex_normals(rng: np.random.Generator, max_degrees) -> np.ndarray:
-    """A complex normal for every slot of the packed arrays of spectra of
-    degrees max_degrees, concatenated in order, from one standard_normal
-    draw of rng. Spectrum j's draws follow spectrum j-1's, in degree order:
-    degree n's 2n+1 real parts, then its 2n+1 imaginary parts."""
-    degree = stacked_index(max_degrees)[1]
-    sizes = (np.asarray(max_degrees) + 1) ** 2
-    draws = rng.standard_normal(2 * degree.size)
-    # a spectrum whose first slot is f draws from 2f on, and its degree n
-    # from 2f + 2n^2 on: slot g = f + n^2 + n + m draws its real part at
-    # g + f + n^2 and its imaginary part 2n + 1 later
-    real = np.arange(degree.size) + np.repeat(np.cumsum(sizes) - sizes, sizes) + degree * degree
-    normals = draws[real + 2 * degree + 1] * 1j
-    normals += draws[real]  # in place, with no third array as long as the draws
+def _complex_normals(rng: np.random.Generator, max_degree: int, count: int = 1) -> np.ndarray:
+    """`count` rows of a complex normal for every slot of a packed array
+    of degree max_degree, row r from the r-th block of one standard_normal
+    draw of rng. Within a block, degree n's 2n+1 real parts come first,
+    then its 2n+1 imaginary parts."""
+    degree = packed_index(max_degree)[0]
+    draws = rng.standard_normal((count, 2 * degree.size))
+    # degree n draws from 2n^2 on: slot g = n^2 + n + m draws its real part
+    # at g + n^2 and its imaginary part 2n + 1 later
+    real = np.arange(degree.size) + degree * degree
+    # np.take keeps the rows C-contiguous, where draws[:, index] would not
+    normals = np.take(draws, real + 2 * degree + 1, axis=1) * 1j
+    normals += np.take(draws, real, axis=1)  # in place, with no third array as long as the draws
     return normals
 
 
@@ -123,7 +114,7 @@ def make_spectrum(profile: DecayProfile) -> CoefficientSpectrum:
     exactly: orders within each degree carry random complex directions
     renormalized to the target magnitude."""
     _validate_profile(profile)
-    raw = _complex_normals(np.random.default_rng(profile.seed), [profile.max_degree])
+    raw = _complex_normals(np.random.default_rng(profile.seed), profile.max_degree)[0]
     degrees = packed_index(profile.max_degree)[0]
     return CoefficientSpectrum.from_packed(
         _with_degree_magnitudes(raw, degrees, profile.degree_magnitudes()))
@@ -157,7 +148,7 @@ def _with_noise(coefficients: np.ndarray, delta: float, rng, count: int) -> np.n
     energy is exactly delta^2. The rows are C-contiguous, so each row's
     energy is summed pairwise, as np.sum sums one 1-D array."""
     max_degree = math.isqrt(len(coefficients)) - 1
-    noise = _complex_normals(rng, [max_degree] * count).reshape(count, -1)
+    noise = _complex_normals(rng, max_degree, count)
     energy = np.sum(np.abs(noise) ** 2, axis=-1)
     noise *= (delta / np.sqrt(energy))[:, None]
     noise += coefficients  # in place, so one (count x slots) array serves
@@ -232,8 +223,12 @@ def ksweep(
     budget) raises."""
     if not k_list:
         raise DomainError("k_list must be nonempty")
-    require_count(seeds, "seeds", least=1)
-    require_count(master_seed, "master_seed")
+    seeds = require_count(seeds, "seeds", least=1)
+    master_seed = require_count(master_seed, "master_seed")
+    for k in k_list:  # before the sort compares them and float() converts them
+        if not isinstance(k, numbers.Real):
+            raise DomainError(f"k must be a real number, got {k!r}")
+        require_finite(k=k)  # a Python int beyond the float range
 
     order = sorted(range(len(k_list)), key=lambda i: k_list[i])
     ks = np.array([float(k_list[i]) for i in order])
@@ -291,13 +286,22 @@ def ksweep(
     return rows
 
 
-def _ensemble_magnitudes(size: int, seed: int, kr_range: tuple[float, float]):
-    """The max degrees L_j, wavenumbers (an array) and (size x 61)
-    per-degree magnitudes of the members of `random_ensemble`: row j is
-    member j's decay profile times norm_j / sqrt(sum of its squares) up to
-    L_j, and zero above. Row j does not depend on `size`."""
-    require_count(size, "ensemble size", least=1)
-    require_count(seed, "seed")
+def ensemble_magnitudes(size: int, seed: int, kr_range: tuple[float, float]):
+    """The members of a seeded random ensemble of decaying spectra, each
+    paired with a wavenumber k drawn from kr_range (R = 1), as the estimates
+    read them: the max degrees L_j, the wavenumbers (an array) and the
+    (size x 61) per-degree magnitudes, row j padded with zeros above L_j.
+
+    Member j takes its decay kind (50/50), rate U(0.3, 1.5), max degree
+    (uniform on 1..30), k U(lo, hi) and target norm U(0.05, 0.95) from row
+    j of one random((size, 5)) block of child SeedSequence(seed,
+    spawn_key=(0,)); row j is its decay profile times norm_j / sqrt(sum of
+    its squares), so it does not depend on `size` (a positive integer;
+    `seed` is a nonnegative one). The norms are below one: the estimates
+    live in the small-data regime eps2 < 1 (so E > 0), and the derivative
+    estimate in particular needs E + k > 1."""
+    size = require_count(size, "ensemble size", least=1)
+    seed = require_count(seed, "seed")
     lo, hi = kr_range
     require_finite(kr_lo=lo, kr_hi=hi)
     if lo < KR_MIN_ESTIMATES or hi < lo:
@@ -315,46 +319,16 @@ def _ensemble_magnitudes(size: int, seed: int, kr_range: tuple[float, float]):
     return max_degrees.tolist(), lo + (hi - lo) * u[3], target
 
 
-def random_ensemble(
-    size: int, seed: int, kr_range: tuple[float, float] = (2.0, 100.0)
-) -> list[tuple[CoefficientSpectrum, float]]:
-    """`size` seeded random decaying spectra, each paired with a wavenumber
-    k drawn from kr_range (R = 1).
-
-    Spectra are rescaled to total coefficient energy below one: the
-    estimates live in the small-data regime eps2 < 1 (so E > 0), and the
-    derivative estimate in particular needs E + k > 1.
-
-    Member j takes its decay kind (50/50), rate U(0.3, 1.5), max degree
-    (uniform on 1..30), k U(lo, hi) and target norm U(0.05, 0.95) from row
-    j of one random((size, 5)) block of child SeedSequence(seed,
-    spawn_key=(0,)), and its normals from child (1,) after member j-1's,
-    so it does not depend on `size` (a positive integer; `seed` is a
-    nonnegative one). Only this function draws from child (1,). The
-    members' packed arrays are rescaled in one pass over their
-    concatenation, each degree straight to its closed-form magnitude;
-    the spectra are views into that array."""
-    max_degrees, ks, magnitudes = _ensemble_magnitudes(size, seed, kr_range)
-    normals = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    member, degree = stacked_index(max_degrees)
-    raw = _complex_normals(normals, max_degrees)
-    coefficients = _with_degree_magnitudes(raw, member * (N_MAX_SUPPORTED + 1) + degree,
-                                           magnitudes.ravel())
-    sizes = (np.array(max_degrees) + 1) ** 2
-    return [(CoefficientSpectrum.from_packed(part), k)
-            for part, k in zip(_pieces(coefficients, sizes), ks.tolist())]
-
-
 def ensemble_verify(
     size: int,
     seed: int,
     which: str,
     kr_range: tuple[float, float] = (2.0, 100.0),
 ) -> tuple[int, float]:
-    """Check one stability estimate on `random_ensemble(size, seed,
-    kr_range)`; returns (failures, min_slack). The estimates read only the
-    members' per-degree magnitudes, so it draws no coefficients."""
-    _, ks, magnitudes = _ensemble_magnitudes(size, seed, kr_range)
+    """Check one stability estimate on the members of
+    `ensemble_magnitudes(size, seed, kr_range)`; returns (failures,
+    min_slack)."""
+    _, ks, magnitudes = ensemble_magnitudes(size, seed, kr_range)
     _, lhs, _, terms = verify_magnitudes(magnitudes, ks, 1.0, which)
     total = terms.total
     return int(np.count_nonzero(~(lhs <= total))), float(np.min(total - lhs))

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .field import check_kR, default_cutoff
 from .harmonics import CoefficientSpectrum, SphereGrid, conjugate_mirror, packed_index, synthesize
-from .specfun import N_MAX_SUPPORTED, hankel_table, require_order
-from .util import require_positive
+from .specfun import hankel_table
+from .util import require_count, require_positive
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,7 @@ def truncated_quotient(coefficients: np.ndarray, factors: np.ndarray, n_cut: int
     row) with each degree n <= n_cut divided by its gain factors[n] and
     every degree above n_cut zero: the coefficients of `truncated_inverse`,
     row by row bit-equal to it."""
-    # a cutoff above the degree cap is valid: it keeps every degree
-    require_order(min(n_cut, N_MAX_SUPPORTED), "cutoff n_cut")
+    n_cut = require_count(n_cut, "cutoff n_cut")  # above the degree cap it keeps every degree
     max_degree = math.isqrt(coefficients.shape[-1]) - 1
     kept = (min(n_cut, max_degree) + 1) ** 2  # packing is degree-major: the kept slots lead
     d = np.zeros_like(coefficients)

@@ -18,8 +18,8 @@ zero (the continuous limit of the estimates): R^2 M^2 / inf is that zero.
 
 The estimates read a spectrum only through its per-degree magnitudes:
 `verify_magnitudes` takes rows of them, one per wavenumber, and returns
-columns; `verify_theorem` (one `CoefficientSpectrum` and k) and
-`verify_ensemble` (a list of such pairs) return one report per pair.
+columns; `verify_theorem` is its one-row call on the magnitudes of one
+`CoefficientSpectrum` and returns a report.
 
 Every argument of an estimate or a corollary is a float or an array, and
 arrays broadcast against each other. An array call equals the element-wise
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import near_field_trace, sobolev_norm_sq, split_spectrum
-from .harmonics import CoefficientSpectrum, aggregate_bins, stacked_index
+from .harmonics import CoefficientSpectrum, aggregate
 from .specfun import N_MAX_SUPPORTED
 from .util import require_finite, require_positive
 
@@ -86,6 +86,8 @@ def _check_common(eps1, eps2, E, k, R, M) -> None:
                           f"got {np.min(eps1)}, {np.min(eps2)}, {np.min(M)}")
     if np.less(k * R, KR_MIN_ESTIMATES).any():
         raise DomainError(f"estimates require kR >= {KR_MIN_ESTIMATES:g}, got kR = {np.min(k * R)}")
+    if isinstance(E, int):  # E may be +inf, but an int must be within the float range
+        require_finite(E=E)
     if not np.greater(E + k, 0.0).all():  # also rejects a NaN E; E = +inf is the eps2 = 0 limit
         raise DomainError("need E + k > 0")
 
@@ -138,15 +140,6 @@ def rhs_T1der(eps1, eps2, E, k, R, M2) -> RhsTerms:
 _RHS = {"T1": rhs_T1, "T2": rhs_T2, "T1der": rhs_T1der}
 
 
-def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str) -> StabilityReport:
-    """Check one stability estimate on the trace generated by a spectrum.
-
-    lhs is the squared surface norm of the trace (T1, T2) or of its radial
-    derivative (T1der); M1/M2 are first-order norms of the same trace.
-    """
-    return verify_ensemble([(spectrum, k)], R, which)[0]
-
-
 @_quiet
 def verify_magnitudes(magnitudes, ks, R: float, which: str):
     """The columns of estimate `which` for rows of per-degree magnitudes,
@@ -163,31 +156,23 @@ def verify_magnitudes(magnitudes, ks, R: float, which: str):
     return split, lhs, M, _RHS[which](split.eps1, split.eps2, split.E, ks, R, M)
 
 
-def verify_ensemble(members, R: float, which: str) -> list[StabilityReport]:
-    """`verify_theorem` for every (CoefficientSpectrum, k) pair of
-    `members` on one sphere of radius R: `verify_magnitudes` of the member
-    x degree matrix of aggregate magnitudes from one bincount over their
-    concatenated coefficients. Every row is padded to degree
-    N_MAX_SUPPORTED and every trace comes from one Hankel table to that
-    degree, so no sum over a row depends on the other members: each
-    report equals that of `verify_theorem` bit for bit."""
-    ks = np.array([k for _, k in members], dtype=float)
-    width = N_MAX_SUPPORTED + 1
-    member, degree = stacked_index([spectrum.max_degree for spectrum, _ in members])
-    coefficients = np.concatenate([np.zeros(0, complex)]  # an empty ensemble has no arrays
-                                  + [spectrum.coefficients for spectrum, _ in members])
-    magnitudes = aggregate_bins(coefficients, member * width + degree, len(members) * width
-                                ).reshape(len(members), width)
-    split, lhs_col, M_col, terms = verify_magnitudes(magnitudes, ks, R, which)
-    columns = (ks, split.N, split.eps1, split.eps2, split.E, M_col, lhs_col, *terms)
-    norm = "M2" if which == "T1der" else "M1"
-    reports = []
-    for k, N, eps1, eps2, E, M, lhs, *parts in zip(*(column.tolist() for column in columns)):
-        rhs_terms = RhsTerms(*parts)
-        inputs = {"k": k, "R": R, "N": int(N), "eps1": eps1, "eps2": eps2, "E": E, norm: M,
-                  "which": which}
-        reports.append(StabilityReport(lhs, rhs_terms, lhs <= rhs_terms.total, inputs))
-    return reports
+def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str) -> StabilityReport:
+    """Check one stability estimate on the trace generated by a spectrum.
+
+    lhs is the squared surface norm of the trace (T1, T2) or of its radial
+    derivative (T1der); M1/M2 are first-order norms of the same trace. The
+    report is row 0 of `verify_magnitudes` of the spectrum's magnitudes
+    padded to degree N_MAX_SUPPORTED: every sum runs over the same 61
+    degrees, whatever the spectrum's max degree."""
+    magnitudes = np.zeros((1, N_MAX_SUPPORTED + 1))
+    magnitudes[0, : spectrum.max_degree + 1] = aggregate(spectrum)
+    split, lhs, M, terms = verify_magnitudes(magnitudes, np.array([k], dtype=float), R, which)
+    N, eps1, eps2, E, M, lhs, *parts = (column[0].item() for column in
+                                        (split.N, split.eps1, split.eps2, split.E, M, lhs, *terms))
+    rhs_terms = RhsTerms(*parts)
+    inputs = {"k": float(k), "R": R, "N": int(N), "eps1": eps1, "eps2": eps2, "E": E,
+              "M2" if which == "T1der" else "M1": M, "which": which}
+    return StabilityReport(lhs, rhs_terms, lhs <= rhs_terms.total, inputs)
 
 
 def _substituted_norm(name: str, M, d_norm1):

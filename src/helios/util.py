@@ -52,14 +52,16 @@ def require_positive(**values) -> None:
             raise DomainError(f"{name} must be positive, got {name}={bad}")
 
 
-def require_count(value, what: str, least: int = 0) -> None:
-    """DomainError unless value is an integer (operator.index accepts it, so
-    numpy integers and bool do) of at least `least`: the one check of a
-    seed or a count in helios, and of the integer in `specfun.require_order`."""
+def require_count(value, what: str, least: int = 0) -> int:
+    """value as a Python int (operator.index accepts it, so numpy integers
+    and bool do); DomainError unless it is an integer of at least `least`:
+    the one check of a seed or a count in helios, and of the integer in
+    `specfun.require_order`."""
     try:
-        operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
-    if value < least:
+    if count < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
         raise DomainError(f"{what} must be {bound}, got {value}")
+    return count

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import random_spectrum
 from helios.bounds import sweep, violations
@@ -20,29 +19,25 @@ from helios.field import (
     sobolev_norm_sq,
     split_spectrum,
 )
-from helios.harmonics import SphereGrid, aggregate
+from helios.harmonics import SphereGrid
 from helios.io import fmt, write_sweep_csv
 from helios.lab import (
     DecayProfile,
+    ensemble_magnitudes,
+    ensemble_verify,
     ksweep,
     make_real_perturbation,
     mean_errors_by_k,
-    random_ensemble,
 )
 from helios.obstacle import forward_hard, forward_soft, invert_hard, invert_soft
 from helios.specfun import hankel_magnitude_oracle, hankel_value
-from helios.stability import rhs_T1, rhs_T1der, rhs_T2, verify_theorem
+from helios.stability import rhs_T1, rhs_T1der, rhs_T2, verify_magnitudes
 
 T_GRID = np.logspace(np.log10(0.5), np.log10(200.0), 200)
 
 
 def report(number: int, name: str, passed: bool) -> None:
     print(f"criterion {number} ({name}): {'PASS' if passed else 'FAIL'}", flush=True)
-
-
-@pytest.fixture(scope="module")
-def ensemble():
-    return random_ensemble(1000, seed=0)
 
 
 def test_criterion_1_hankel_cross_validation():
@@ -86,15 +81,15 @@ def test_criterion_3_norm_identity():
     assert worst <= 1e-9
 
 
-def test_criterion_4_theorem_verification(ensemble):
+def test_criterion_4_theorem_verification():
+    # the 1000 members of the seed-0 ensemble, read as the estimates read
+    # them: through their closed-form per-degree magnitudes
     failures = 0
     min_slack = math.inf
-    for spectrum, k in ensemble:
-        for which in ("T1", "T2", "T1der"):
-            r = verify_theorem(spectrum, k, 1.0, which)
-            min_slack = min(min_slack, r.rhs_total - r.lhs)
-            if not r.satisfied:
-                failures += 1
+    for which in ("T1", "T2", "T1der"):
+        failed, slack = ensemble_verify(1000, 0, which)
+        failures += failed
+        min_slack = min(min_slack, slack)
     passed = failures == 0 and min_slack > 0
     report(4, "stability estimates on ensemble", passed)
     assert failures == 0
@@ -134,11 +129,11 @@ def test_criterion_6_obstacle_round_trip():
     assert worst <= 1e-9
 
 
-def test_criterion_7_projector_lipschitz_bound(ensemble):
+def test_criterion_7_projector_lipschitz_bound():
     const = math.sqrt(2.0) * math.e / math.sqrt(math.pi)
     passed = True
-    for spectrum, k in ensemble:
-        magnitudes = aggregate(spectrum)
+    _, ks, rows = ensemble_magnitudes(1000, 0, (2.0, 100.0))
+    for magnitudes, k in zip(rows, ks.tolist()):
         split = split_spectrum(magnitudes, k, 1.0)
         values, _ = near_field_trace(magnitudes, k, 1.0)
         projected = low_pass(values, split.N)
@@ -176,10 +171,10 @@ def test_criterion_8_increasing_stability_sweep():
 
 
 def ensemble_report_bytes() -> bytes:
-    lines = []
-    for spectrum, k in random_ensemble(200, seed=3):
-        r = verify_theorem(spectrum, k, 1.0, "T2")
-        lines.append(f"{fmt(k)},{int(r.satisfied)},{fmt(r.rhs_total - r.lhs)}")
+    _, ks, magnitudes = ensemble_magnitudes(200, 3, (2.0, 100.0))
+    _, lhs, _, terms = verify_magnitudes(magnitudes, ks, 1.0, "T2")
+    lines = [f"{fmt(k)},{int(l <= total)},{fmt(total - l)}"
+             for k, l, total in zip(ks.tolist(), lhs.tolist(), terms.total.tolist())]
     return "\n".join(lines).encode()
 
 

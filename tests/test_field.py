@@ -233,6 +233,8 @@ def test_low_pass_spectrum():
 def test_low_pass_rejects_negative():
     with pytest.raises(DomainError):
         low_pass(agg(1.0), -1)
+    with pytest.raises(DomainError, match="^cutoff N must be an integer, got inf$"):
+        low_pass(agg(1.0), math.inf)
 
 
 def test_norm_identity_zero():

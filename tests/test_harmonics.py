@@ -20,7 +20,6 @@ from helios.harmonics import (
     aggregate,
     analyze,
     packed_index,
-    stacked_index,
     synthesize,
 )
 
@@ -308,21 +307,6 @@ def test_packed_index_rejects_a_degree_out_of_range(max_degree):
                 else f"max_degree {max_degree} exceeds supported maximum 60")
     with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
         packed_index(max_degree)
-
-
-def test_stacked_index_concatenates_the_packed_indices():
-    max_degrees = [2, 0, 5, 2]
-    member, degree = stacked_index(max_degrees)
-    assert np.array_equal(member, np.repeat(np.arange(4), [9, 1, 36, 9]))
-    assert np.array_equal(degree, np.concatenate([packed_index(L)[0] for L in max_degrees]))
-    empty = stacked_index([])
-    assert empty[0].size == empty[1].size == 0
-
-
-@pytest.mark.parametrize("max_degrees", [[3, -1], [61, 2], [2, 2.5]])
-def test_stacked_index_checks_every_degree(max_degrees):
-    with pytest.raises(DomainError, match="^max_degree "):
-        stacked_index(max_degrees)
 
 
 @pytest.mark.parametrize("design_degree", [-1, 61])

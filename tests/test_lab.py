@@ -9,7 +9,7 @@ import pytest
 from helios import field, lab, obstacle, specfun
 from helios.errors import CapacityError, DomainError
 from helios.field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from helios.harmonics import CoefficientSpectrum, aggregate, aggregate_bins, stacked_index
+from helios.harmonics import CoefficientSpectrum, aggregate, aggregate_bins, packed_index
 from helios.lab import (
     DecayProfile,
     SweepRow,
@@ -20,7 +20,8 @@ from helios.lab import (
     mean_errors_by_k,
     perturb,
 )
-from helios.stability import corollary_hard_terms, corollary_soft_terms, verify_ensemble
+from helios.stability import (corollary_hard_terms, corollary_soft_terms, verify_magnitudes,
+                              verify_theorem)
 
 CANONICAL_PROFILE = DecayProfile("exponential", 1.0, 10, seed=7)
 
@@ -145,6 +146,14 @@ def test_sweep_validation():
         ksweep(d, 1.0, [0.05, 4.0], 1e-3, 2)  # below the Hankel table's floor too
     with pytest.raises(DomainError):
         ksweep(d, 1.0, [4.0], 1e-3, 5, kind="mixed")
+    # every k is checked before the sort compares them and float() converts them
+    for k_list, message in [
+        ([10**400], "k must be finite, got a 1329-bit integer beyond the float range"),
+        (["a"], "k must be a real number, got 'a'"),
+        ([2.0, "a"], "k must be a real number, got 'a'"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ksweep(d, 1.0, k_list, 1e-3, 2)
 
 
 @pytest.mark.parametrize("kind, error, message", [
@@ -201,7 +210,7 @@ def test_sweep_memory_peak_is_bounded():
     assert peak <= 1.25 * 894_491
 
 
-def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_two_per_ensemble(monkeypatch):
+def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_one_per_ensemble(monkeypatch):
     # not one per replicate or member: the Generators are counted as built
     built = []
     real = np.random.default_rng
@@ -218,38 +227,39 @@ def test_sweep_and_ensemble_build_one_stream_per_wavenumber_and_two_per_ensemble
         assert [seed.spawn_key for seed in built] == [(1,), (2,), (0,)]  # ascending k
     for size in (1, 37, 400):
         built.clear()
-        assert len(lab.random_ensemble(size, 3)) == size
-        assert [seed.spawn_key for seed in built] == [(0,), (1,)]
-        built.clear()
         assert ensemble_verify(size, 3, "T1")[0] == 0
         assert [seed.spawn_key for seed in built] == [(0,)]  # the parameters, no normals
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_ensemble_members_do_not_depend_on_its_size(seed):
-    large = lab.random_ensemble(60, seed, (2.5, 60.0))
-    for size in (1, 7, 59):
-        small = lab.random_ensemble(size, seed, (2.5, 60.0))
-        assert [k for _, k in small] == [k for _, k in large[:size]]
-        for (spectrum, _), (reference, _) in zip(small, large):
-            assert spectrum.max_degree == reference.max_degree
-            assert spectrum.coefficients.tobytes() == reference.coefficients.tobytes()
+    # a member's report, not only its row, is the same in a smaller ensemble
+    def columns(size, which):
+        _, ks, magnitudes = lab.ensemble_magnitudes(size, seed, (2.5, 60.0))
+        split, lhs, M, terms = verify_magnitudes(magnitudes, ks, 1.0, which)
+        return np.array([split.N, split.eps1, split.eps2, split.E, lhs, M, *terms])
+
+    for which in ("T1", "T2", "T1der"):
+        large = columns(60, which)
+        for size in (1, 7, 59):
+            assert columns(size, which).tobytes() == large[:, :size].tobytes()
 
 
 def test_ensemble_parameters_cover_their_ranges():
-    members = lab.random_ensemble(2000, 0, (2.5, 60.0))
-    degrees = {spectrum.max_degree for spectrum, _ in members}
-    assert degrees == set(range(1, 31))
-    ks = [k for _, k in members]
+    max_degrees, ks, magnitudes = lab.ensemble_magnitudes(2000, 0, (2.5, 60.0))
+    assert set(max_degrees) == set(range(1, 31))
     assert 2.5 <= min(ks) < 3.0 and 59.5 < max(ks) < 60.0
-    norms = [math.sqrt(spectrum.energy()) for spectrum, _ in members]
+    norms = np.sqrt(np.sum(magnitudes * magnitudes, axis=1))
     assert 0.05 <= min(norms) < 0.06 and 0.94 < max(norms) < 0.95 + 1e-15
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda d, s: lab.random_ensemble(3, 1.5), "seed must be an integer, got 1.5"),
-    (lambda d, s: lab.random_ensemble(3, -1), "seed must be nonnegative, got -1"),
-    (lambda d, s: lab.random_ensemble(2.0, 0), "ensemble size must be an integer, got 2.0"),
+    (lambda d, s: lab.ensemble_magnitudes(3, 1.5, (2.0, 100.0)),
+     "seed must be an integer, got 1.5"),
+    (lambda d, s: lab.ensemble_magnitudes(3, -1, (2.0, 100.0)),
+     "seed must be nonnegative, got -1"),
+    (lambda d, s: lab.ensemble_magnitudes(2.0, 0, (2.0, 100.0)),
+     "ensemble size must be an integer, got 2.0"),
     (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 2, master_seed=1.5),
      "master_seed must be an integer, got 1.5"),
     (lambda d, s: ksweep(d, 1.0, [4.0], 1e-3, 2, master_seed=-1),
@@ -274,6 +284,15 @@ def test_perturb_takes_an_integer_or_a_seed_sequence():
     for seed in (0, np.int64(0), np.random.SeedSequence(0)):
         assert (perturb(spectrum, 1e-3, seed).coefficients.tobytes()
                 == perturb(spectrum, 1e-3, 0).coefficients.tobytes())
+
+
+def test_a_bool_count_is_the_integer_it_is():
+    # require_count accepts a bool; ksweep and the ensemble use the int it returns
+    assert ensemble_verify(True, 0, "T1") == ensemble_verify(1, 0, "T1")
+    assert ensemble_verify(3, True, "T1") == ensemble_verify(3, 1, "T1")
+    d = make_real_perturbation(CANONICAL_PROFILE)
+    assert (ksweep(d, 1.0, [4.0, 2.0], 1e-3, seeds=True, master_seed=True)
+            == ksweep(d, 1.0, [4.0, 2.0], 1e-3, seeds=1, master_seed=1))
 
 
 def test_ensemble_small():
@@ -398,9 +417,15 @@ def test_generators_match_the_per_degree_loops(kind, rate, amplitude, max_degree
 @pytest.mark.parametrize("max_degree", LOOP_DEGREES)
 def test_draw_order_is_the_loops(max_degree):
     for seed in range(5):
-        new = lab._complex_normals(np.random.default_rng(seed), [max_degree])
+        new = lab._complex_normals(np.random.default_rng(seed), max_degree)
         old = loop_normals(np.random.default_rng(seed), max_degree)
-        assert new.tobytes() == old.tobytes()
+        assert new.shape == (1, (max_degree + 1) ** 2)
+        assert new[0].tobytes() == old.tobytes()
+        # count rows, each a spectrum's draws, following the previous row's
+        rows = lab._complex_normals(np.random.default_rng(seed), max_degree, 3)
+        rng = np.random.default_rng(seed)
+        assert rows.tobytes() == np.array([loop_normals(rng, max_degree)
+                                           for _ in range(3)]).tobytes()
 
 
 @pytest.mark.parametrize("max_degree", LOOP_DEGREES)
@@ -480,30 +505,42 @@ def frozen_make_spectrum(profile):
     return frozen_with_magnitudes(raw, profile.degree_magnitudes())
 
 
-def frozen_random_ensemble(size, seed, kr_range=(2.0, 100.0)):
+def frozen_ensemble_magnitudes(size, seed, kr_range):
     lo, hi = kr_range
-    params, normals = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(child,)))
-                       for child in (0, 1))
-    out = []
+    params = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    max_degrees, ks, rows = [], [], []
     for _ in range(size):
         u = params.random(5).tolist()
         profile = DecayProfile(
             kind=["exponential", "algebraic"][int(2.0 * u[0])],
             rate=0.3 + 1.2 * u[1],
             max_degree=1 + int(30.0 * u[2]),
-            seed=0,  # unused: the normals come from the ensemble's stream
+            seed=0,  # unused: an ensemble draws no normals
         )
-        k = lo + (hi - lo) * u[3]
         norm = 0.05 + 0.9 * u[4]
         # the closed-form magnitudes: the profile scaled to the target norm,
         # its squares summed over a row padded to degree 60
         target = np.zeros(61)
         target[: profile.max_degree + 1] = profile.degree_magnitudes()
-        magnitudes = target * (norm / math.sqrt(np.sum(target * target)))
-        spectrum = frozen_with_magnitudes(loop_normals(normals, profile.max_degree),
-                                          magnitudes[: profile.max_degree + 1])
-        out.append((spectrum, k))
-    return out
+        max_degrees.append(profile.max_degree)
+        ks.append(lo + (hi - lo) * u[3])
+        rows.append(target * (norm / math.sqrt(np.sum(target * target))))
+    return max_degrees, np.array(ks), np.array(rows)
+
+
+def drawn_members(size, seed, kr_range):
+    """A (spectrum, k) pair for each row of `ensemble_magnitudes`: complex
+    normals from one stream, rescaled to the row's magnitudes up to the
+    member's max degree."""
+    max_degrees, ks, magnitudes = lab.ensemble_magnitudes(size, seed, kr_range)
+    rng = np.random.default_rng(seed)
+    members = []
+    for max_degree, k, row in zip(max_degrees, ks.tolist(), magnitudes):
+        raw = lab._complex_normals(rng, max_degree)[0]
+        coefficients = lab._with_degree_magnitudes(raw, packed_index(max_degree)[0],
+                                                   row[: max_degree + 1])
+        members.append((CoefficientSpectrum.from_packed(coefficients), k))
+    return members
 
 
 def bits(rows):
@@ -536,12 +573,11 @@ def test_the_canonical_sweep_equals_the_per_replicate_loop():
 
 @pytest.mark.parametrize("size, seed", [(1, 0), (1, 5), (37, 0), (37, 2024)])
 def test_ensemble_equals_the_per_member_builder(size, seed):
-    new = lab.random_ensemble(size, seed, (2.5, 60.0))
-    old = frozen_random_ensemble(size, seed, (2.5, 60.0))
-    assert [k for _, k in new] == [k for _, k in old]
-    for (spectrum, _), (reference, _) in zip(new, old):
-        assert spectrum.max_degree == reference.max_degree
-        assert spectrum.coefficients.tobytes() == reference.coefficients.tobytes()
+    new = lab.ensemble_magnitudes(size, seed, (2.5, 60.0))
+    old = frozen_ensemble_magnitudes(size, seed, (2.5, 60.0))
+    assert new[0] == old[0]
+    assert new[1].tobytes() == old[1].tobytes()
+    assert new[2].tobytes() == old[2].tobytes()
 
 
 @pytest.mark.parametrize("max_degree", LOOP_DEGREES)
@@ -554,13 +590,13 @@ def test_make_spectrum_equals_the_per_spectrum_builder(max_degree):
 
 @pytest.mark.parametrize("size", [1, 37])
 def test_one_bincount_aggregates_each_member(size):
-    # verify_ensemble's aggregation: the members' concatenated coefficients
-    # into bins member * width + degree, against aggregate of each member
-    members = lab.random_ensemble(size, 7)
+    # members of different degrees, concatenated, into bins member * width +
+    # degree: each bin sums its slots in slot order, as aggregate does
+    members = drawn_members(size, 7, (2.0, 100.0))
     width = 61
-    bins, degree = stacked_index([spectrum.max_degree for spectrum, _ in members])
+    bins = np.concatenate([j * width + spectrum.degrees for j, (spectrum, _) in enumerate(members)])
     magnitudes = aggregate_bins(np.concatenate([spectrum.coefficients for spectrum, _ in members]),
-                                bins * width + degree, size * width).reshape(size, width)
+                                bins, size * width).reshape(size, width)
     for row, (spectrum, _) in zip(magnitudes, members):
         assert row[: spectrum.max_degree + 1].tobytes() == frozen_aggregate(spectrum).tobytes()
         assert not row[spectrum.max_degree + 1 :].any()
@@ -573,12 +609,12 @@ ENSEMBLE_RANGES = [(2.0, 100.0), (2.5, 60.0)]
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 @pytest.mark.parametrize("size", [1, 37, 1000])
 def test_closed_form_magnitudes_are_the_member_aggregates(size, seed, kr_range):
-    # ensemble_verify reads these rows; random_ensemble rescales to them
-    max_degrees, ks, magnitudes = lab._ensemble_magnitudes(size, seed, kr_range)
-    members = lab.random_ensemble(size, seed, kr_range)
+    # ensemble_verify reads these rows; a spectrum drawn and rescaled to a
+    # row aggregates back to it
+    max_degrees, ks, magnitudes = lab.ensemble_magnitudes(size, seed, kr_range)
+    members = drawn_members(size, seed, kr_range)
     assert magnitudes.shape == (size, 61)
     assert max_degrees == [spectrum.max_degree for spectrum, _ in members]
-    assert ks.tobytes() == np.array([k for _, k in members]).tobytes()
     for row, (spectrum, _) in zip(magnitudes, members):
         padded = np.zeros(61)
         padded[: spectrum.max_degree + 1] = aggregate(spectrum)
@@ -590,9 +626,19 @@ def test_closed_form_magnitudes_are_the_member_aggregates(size, seed, kr_range):
 @pytest.mark.parametrize("size, seed, kr_range", [(1, 0, ENSEMBLE_RANGES[0]),
                                                   (200, 5, ENSEMBLE_RANGES[1]),
                                                   (1000, 2024, ENSEMBLE_RANGES[0])])
-def test_ensemble_verify_equals_verify_ensemble_of_the_members(which, size, seed, kr_range):
+def test_ensemble_verify_equals_the_reports_of_drawn_members(which, size, seed, kr_range):
     failures, min_slack = ensemble_verify(size, seed, which, kr_range)
-    reports = verify_ensemble(lab.random_ensemble(size, seed, kr_range), 1.0, which)
+    _, ks, magnitudes = lab.ensemble_magnitudes(size, seed, kr_range)
+    split, lhs, M, terms = verify_magnitudes(magnitudes, ks, 1.0, which)
+    reports = [verify_theorem(spectrum, k, 1.0, which)
+               for spectrum, k in drawn_members(size, seed, kr_range)]
+    for j, report in enumerate(reports):
+        assert report.inputs["N"] == split.N[j]
+        assert [report.lhs, *report.rhs_terms] == pytest.approx(
+            [lhs[j], *(term[j] for term in terms)], rel=1e-13, abs=0)
+        assert [report.inputs[name] for name in ("eps1", "eps2", "E", "M2" if which == "T1der"
+                                                 else "M1")] == pytest.approx(
+            [split.eps1[j], split.eps2[j], split.E[j], M[j]], rel=1e-13, abs=0)
     assert failures == sum(not report.satisfied for report in reports)
     assert min_slack == pytest.approx(min(report.rhs_total - report.lhs for report in reports),
                                       rel=1e-13, abs=0)
@@ -600,9 +646,9 @@ def test_ensemble_verify_equals_verify_ensemble_of_the_members(which, size, seed
 
 @pytest.mark.parametrize("seed", [0, 5, 2024])
 def test_closed_form_rows_do_not_depend_on_the_ensemble_size(seed):
-    large = lab._ensemble_magnitudes(60, seed, (2.5, 60.0))
+    large = lab.ensemble_magnitudes(60, seed, (2.5, 60.0))
     for size in (1, 7, 59):
-        max_degrees, ks, magnitudes = lab._ensemble_magnitudes(size, seed, (2.5, 60.0))
+        max_degrees, ks, magnitudes = lab.ensemble_magnitudes(size, seed, (2.5, 60.0))
         assert max_degrees == large[0][:size]
         assert ks.tobytes() == large[1][:size].tobytes()
         assert magnitudes.tobytes() == large[2][:size].tobytes()

@@ -193,7 +193,7 @@ def test_invert_truncates_at_cutoff():
 def test_invert_rejects_a_cutoff_that_is_not_a_nonnegative_integer(invert):
     amplitude = forward_soft(make_real_perturbation(DecayProfile("exponential", 0.5, 6, seed=1)),
                              4.0, 1.0)
-    for n_cut in (1.5, -5):
+    for n_cut in (1.5, -5, math.inf):
         with pytest.raises(DomainError, match="^cutoff n_cut"):
             invert(amplitude, 4.0, 1.0, n_cut=n_cut)
     # a cutoff above the degree cap keeps every degree

@@ -7,14 +7,13 @@ from conftest import random_spectrum
 from helios.errors import CapacityError, DomainError
 from helios.field import hankel_factors, sobolev_norm_sq, split_spectrum
 from helios.harmonics import CoefficientSpectrum, aggregate
-from helios.lab import random_ensemble
+from helios.lab import DecayProfile, make_spectrum
 from helios.stability import (
     corollary_hard_terms,
     corollary_soft_terms,
     rhs_T1,
     rhs_T1der,
     rhs_T2,
-    verify_ensemble,
     verify_magnitudes,
     verify_theorem,
 )
@@ -234,24 +233,67 @@ def one_spectrum_report(spectrum, k, R, which):
     return lhs, tuple(rhs(split.eps1, split.eps2, split.E, k, R, M)), split, M
 
 
+def seeded_members(seed, size):
+    """`size` (spectrum, k) pairs from `make_spectrum`, with a seeded decay
+    kind, rate, max degree, amplitude and k; member 0 sits at the degree cap."""
+    rng = np.random.default_rng(seed)
+    members = []
+    for j in range(size):
+        profile = DecayProfile(("exponential", "algebraic")[int(rng.integers(2))],
+                               float(rng.uniform(0.3, 1.5)),
+                               60 if j == 0 else int(rng.integers(0, 31)), seed=1000 * seed + j,
+                               amplitude=float(rng.uniform(0.05, 0.95)))
+        members.append((make_spectrum(profile), float(rng.uniform(2.0, 100.0))))
+    return members
+
+
+def padded_rows(members):
+    """The members' magnitudes as rows padded to degree 60, and their k."""
+    rows = np.zeros((len(members), 61))
+    for row, (spectrum, _) in zip(rows, members):
+        row[: spectrum.max_degree + 1] = aggregate(spectrum)
+    return rows, np.array([k for _, k in members])
+
+
+def assert_row_is_the_report(columns, j, report, which):
+    """Row j of the columns of `verify_magnitudes` is `report`, bit for bit."""
+    split, lhs, M, terms = columns
+    assert report.lhs == lhs[j]
+    assert report.rhs_terms == tuple(term[j] for term in terms)
+    assert report.satisfied == (lhs[j] <= terms.total[j])
+    assert report.inputs["N"] == split.N[j]
+    for name in ("eps1", "eps2", "E"):
+        assert report.inputs[name] == getattr(split, name)[j]
+    assert report.inputs["M2" if which == "T1der" else "M1"] == M[j]
+
+
+@pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
+def test_verify_theorem_is_row_0_of_the_padded_rows(which):
+    for spectrum, k in [(zonal([0.3]), 4.0), (random_spectrum(60, seed=4), 30.0),
+                        *seeded_members(2, 5)]:
+        report = verify_theorem(spectrum, k, 1.0, which)
+        rows, ks = padded_rows([(spectrum, k)])
+        assert_row_is_the_report(verify_magnitudes(rows, ks, 1.0, which), 0, report, which)
+        assert report.inputs["k"] == k and report.inputs["which"] == which
+
+
 # A report sums over a row padded to degree N_MAX_SUPPORTED; the one-spectrum
 # reference sums over the spectrum's own degrees, which rounds differently
-# (by at most 3.1 eps on these ensembles).
+# (by at most 6.6 eps on these members).
 ONE_SPECTRUM_REL = 8 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7919])
 @pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
 def test_ensemble_reports_equal_one_spectrum_reports(which, seed):
-    members = random_ensemble(60, seed)
-    reports = verify_ensemble(members, 1.0, which)
-    assert len(reports) == len(members)
-    for (spectrum, k), report in zip(members, reports):
-        single = verify_theorem(spectrum, k, 1.0, which)
-        assert report.lhs == single.lhs
-        assert report.rhs_terms == single.rhs_terms
-        assert report.satisfied == single.satisfied
-        assert report.inputs == single.inputs
+    # the rows of one verify_magnitudes call are the members' reports, and
+    # each agrees with the report built the one-spectrum way
+    members = seeded_members(seed, 60)
+    columns = verify_magnitudes(*padded_rows(members), 1.0, which)
+    assert len(columns[1]) == len(members)
+    for j, (spectrum, k) in enumerate(members):
+        report = verify_theorem(spectrum, k, 1.0, which)
+        assert_row_is_the_report(columns, j, report, which)
         lhs, terms, split, M = one_spectrum_report(spectrum, k, 1.0, which)
         assert report.lhs == pytest.approx(lhs, rel=ONE_SPECTRUM_REL, abs=0)
         assert tuple(report.rhs_terms) == pytest.approx(terms, rel=ONE_SPECTRUM_REL, abs=0)
@@ -265,20 +307,22 @@ def test_ensemble_reports_equal_one_spectrum_reports(which, seed):
 
 @pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
 def test_a_report_does_not_depend_on_the_other_members(which):
-    members = random_ensemble(20, 3)
-    members.insert(7, (random_spectrum(60, seed=4), 30.0))  # a member at the degree cap
+    members = seeded_members(3, 20)
+    members.insert(7, (random_spectrum(60, seed=4), 30.0))  # a second member at the degree cap
     for batch in (members, members[::-1]):
-        for (spectrum, k), report in zip(batch, verify_ensemble(batch, 1.0, which)):
-            assert report == verify_theorem(spectrum, k, 1.0, which)
+        columns = verify_magnitudes(*padded_rows(batch), 1.0, which)
+        for j, (spectrum, k) in enumerate(batch):
+            assert_row_is_the_report(columns, j, verify_theorem(spectrum, k, 1.0, which), which)
 
 
-def test_verify_ensemble_edge_cases():
-    assert verify_ensemble([], 1.0, "T1") == []
+def test_verify_magnitudes_edge_cases():
+    split, lhs, M, terms = verify_magnitudes(np.zeros((0, 61)), np.zeros(0), 1.0, "T1")
+    assert lhs.shape == M.shape == terms.total.shape == split.N.shape == (0,)
     with pytest.raises(DomainError):
-        verify_ensemble([], 1.0, "T3")
-    members = random_ensemble(3, 5)
+        verify_magnitudes(np.zeros((0, 61)), np.zeros(0), 1.0, "T3")
+    rows, ks = padded_rows(seeded_members(5, 3))
     with pytest.raises(DomainError):
-        verify_ensemble(members + [(members[0][0], 1.0)], 1.0, "T1")  # kR < 2
+        verify_magnitudes(rows, np.append(ks[:2], 1.0), 1.0, "T1")  # kR < 2
 
 
 @pytest.mark.parametrize("which", ["T1", "T2", "T1der"])
@@ -287,9 +331,10 @@ def test_an_overflowing_energy_split_raises_capacity_error(which):
     spectrum = zonal([1e154, 1e154])
     with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
         verify_theorem(spectrum, 1e5, 10.0, which)
-    members = random_ensemble(3, 5)
+    members = seeded_members(5, 3)
+    rows, ks = padded_rows(members[:1] + [(spectrum, 1e5)] + members[1:])
     with pytest.raises(CapacityError, match="eps1 or eps2 exceeds the floating range"):
-        verify_ensemble(members[:1] + [(spectrum, 1e5)] + members[1:], 10.0, which)
+        verify_magnitudes(rows, ks, 10.0, which)
 
 
 @pytest.mark.parametrize("which", ["T1", "T2", "T1der"])

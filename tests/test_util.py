@@ -55,8 +55,9 @@ def test_an_int_beyond_int64_is_judged_as_a_number():
     lambda: require_positive(k=-(10**400)),
     lambda: incident_trace("soft", 10**400, 1.0),
     lambda: rhs_T1(0.1, 0.1, 1.0, k=10**400, R=1.0, M1=1.0),
+    lambda: rhs_T1(0.1, 0.1, 10**400, 4.0, 1.0, 1.0),
     lambda: hankel_value(3, 10**400),
-], ids=["finite", "positive", "negative", "incident", "rhs", "hankel"])
+], ids=["finite", "positive", "negative", "incident", "rhs", "rhs-E", "hankel"])
 def test_an_int_beyond_the_float_range_is_a_domain_error(call):
     with pytest.raises(DomainError, match="must be finite, got a 1329-bit integer beyond the float range"):
         call()
@@ -64,10 +65,12 @@ def test_an_int_beyond_the_float_range_is_a_domain_error(call):
 
 
 def test_require_count_accepts_integers():
-    require_count(0, "seed")
-    require_count(2**70, "seed")
-    require_count(np.int64(3), "seeds", least=1)
-    require_count(True, "seeds", least=1)  # operator.index accepts bool
+    # and returns them as Python ints, so a bool or a numpy integer serves
+    # wherever the caller passes the count on
+    for value, expected in ((0, 0), (2**70, 2**70), (np.int64(3), 3), (True, 1)):
+        count = require_count(value, "seeds")
+        assert count == expected and type(count) is int
+    assert require_count(True, "seeds", least=1) == 1  # operator.index accepts bool
 
 
 @pytest.mark.parametrize("value, least, message", [
