@@ -18,6 +18,7 @@ once, with k broadcast over it; one spectrum is a 1-D array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,7 @@ def split_spectrum(magnitudes, k, R: float) -> SpectralSplit:
 def low_pass(obj, N: int):
     """Zero all degrees above N of a spectrum, or of an array indexed by
     degree along its last axis; returns a new object of the same type."""
-    N = require_count(N, "cutoff N")  # above the degree cap it keeps every degree
+    N = require_count(N, "cutoff N", most=math.inf)  # above the degree cap it keeps every degree
     if isinstance(obj, CoefficientSpectrum):
         coefficients = obj.coefficients.copy()
         coefficients[(N + 1) ** 2 :] = 0.0  # the slots of degrees above N

@@ -30,6 +30,7 @@ if TYPE_CHECKING:
 
 CSV_HEADER = "k,N,eps1,eps2,E,lhs,rhs_lipschitz,rhs_holder,rhs_apriori,rhs_total,reconstruction_error"
 _CSV_ROW = operator.attrgetter(*CSV_HEADER.split(","))
+_CSV_LINE = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 _RECORD = operator.itemgetter("n", "m", "re", "im")
 
 # The exact Python types json.load gives each JSON type a field may hold:
@@ -154,5 +155,7 @@ def load_sweep_config(path: str) -> tuple[DecayProfile, dict]:
 
 
 def write_sweep_csv(fh: TextIO, rows: list[SweepRow]) -> None:
-    # fmt(N) == str(N) for the integer column: every N is below 2^53
-    fh.write("\n".join([CSV_HEADER, *(",".join(map(fmt, _CSV_ROW(r))) for r in rows), ""]))
+    """The header and one line per row, in one write; each field is its
+    `fmt` text, which is what %.17g gives a float (an int field such as N
+    is converted to float first, as fmt does; every N is below 2^53)."""
+    fh.write("".join([CSV_HEADER, "\n", *[_CSV_LINE % _CSV_ROW(r) for r in rows]]))

@@ -12,10 +12,13 @@ replicate count or ensemble size nor on the order of the wavenumbers.
 
 Replicates and ensemble members are batched, not looped over. A sweep
 does its per-sweep work once for its K wavenumbers: their gains come
-from one array-k `obstacle.gain` call (one Hankel table) and their
-forward maps from one product. It holds one wavenumber's S replicates as
-the rows of one (S x (L+1)^2) packed array, aggregates that wavenumber's
-noisy, recovered and error arrays with one bincount, and splits and
+from one array-k `obstacle.gain` call (one Hankel table), their forward
+maps from one product, and the gather index of the normals and the bin
+index of the aggregation are built once for the degree. Per wavenumber
+it builds one Generator, makes one standard_normal draw, taken straight
+into the float view of the S replicates' (S x (L+1)^2) packed rows,
+inverts those rows in place once their moduli are taken, and aggregates
+the noisy, recovered and error moduli with one bincount. It splits and
 budgets the stacked (K x S x (L+1)) magnitudes of its K wavenumbers in
 one call each. An ensemble's members are the rows of one (size x 61)
 magnitude array. `perturb` and `make_spectrum` are the one-row calls of
@@ -24,20 +27,18 @@ the same helpers.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 from .field import default_cutoff, sobolev_norm, sobolev_norm_sq, split_spectrum
-from .harmonics import CoefficientSpectrum, aggregate_bins, conjugate_mirror, packed_index
+from .harmonics import CoefficientSpectrum, aggregate_bins, packed_index
 from .obstacle import BoundaryPerturbation, forward_product, gain, truncated_quotient
 from .specfun import N_MAX_SUPPORTED
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
                         verify_magnitudes)
-from .util import require_count, require_finite, require_positive
+from .util import require_count, require_finite, require_positive, require_real
 
 
 _DECAY_KINDS = ("exponential", "algebraic")
@@ -79,20 +80,29 @@ def _validate_profile(profile: DecayProfile) -> None:
     require_count(profile.seed, "profile seed")
 
 
-def _complex_normals(rng: np.random.Generator, max_degree: int, count: int = 1) -> np.ndarray:
-    """`count` rows of a complex normal for every slot of a packed array
-    of degree max_degree, row r from the r-th block of one standard_normal
-    draw of rng. Within a block, degree n's 2n+1 real parts come first,
-    then its 2n+1 imaginary parts."""
+def _normal_index(max_degree: int) -> np.ndarray:
+    """Where the complex normals of a packed array of degree max_degree sit
+    in one block of 2 (L+1)^2 standard normals: the real part of each slot,
+    then its imaginary part, slot by slot. Within a block, degree n's 2n+1
+    real parts come first, then its 2n+1 imaginary parts, so a take of the
+    block at this index is the normals as a float view."""
     degree = packed_index(max_degree)[0]
-    draws = rng.standard_normal((count, 2 * degree.size))
     # degree n draws from 2n^2 on: slot g = n^2 + n + m draws its real part
     # at g + n^2 and its imaginary part 2n + 1 later
     real = np.arange(degree.size) + degree * degree
-    # np.take keeps the rows C-contiguous, where draws[:, index] would not
-    normals = np.take(draws, real + 2 * degree + 1, axis=1) * 1j
-    normals += np.take(draws, real, axis=1)  # in place, with no third array as long as the draws
-    return normals
+    return np.stack((real, real + 2 * degree + 1), axis=-1).ravel()
+
+
+def _draw_normals(rng: np.random.Generator, index: np.ndarray, count: int) -> np.ndarray:
+    """`count` C-contiguous rows of complex normals, row r from the r-th
+    block of one standard_normal draw of rng, at `_normal_index`'s index."""
+    return np.take(rng.standard_normal((count, index.size)), index, axis=1).view(complex)
+
+
+def _complex_normals(rng: np.random.Generator, max_degree: int, count: int = 1) -> np.ndarray:
+    """`count` rows of a complex normal for every slot of a packed array
+    of degree max_degree (`_draw_normals`)."""
+    return _draw_normals(rng, _normal_index(max_degree), count)
 
 
 def _with_degree_magnitudes(raw: np.ndarray, bins: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -126,12 +136,17 @@ def make_real_perturbation(profile: DecayProfile) -> BoundaryPerturbation:
     _validate_profile(profile)
     rng = np.random.default_rng(profile.seed)
     degree, order = packed_index(profile.max_degree)
-    # degree n's draws start at n^2: d_{n,0}, then re and im of d_{n,m} for m = 1..n
-    draws = rng.standard_normal((profile.max_degree + 1) ** 2)
+    slots = degree.size
+    # degree n's draws start at n^2: d_{n,0}, then re and im of d_{n,m} for
+    # m = 1..n; the zero after them is the imaginary part of every d_{n,0}
+    draws = np.zeros(slots + 1)
+    rng.standard_normal(out=draws[:slots])
     imag = degree * degree + 2 * np.abs(order)  # draw of im d_{n,|m|}, or of d_{n,0}
-    upper = CoefficientSpectrum.from_packed(  # d_{n,|m|} in both slots n, +-m
-        draws[imag - (order != 0)] + 1j * np.where(order != 0, draws[imag], 0.0))
-    raw = np.where(order < 0, conjugate_mirror(upper).coefficients, upper.coefficients)
+    real = imag - (order != 0)
+    imag[order == 0] = slots
+    raw = draws[real] + 1j * draws[imag]  # d_{n,|m|} in both slots n, +-m
+    negative = order < 0
+    raw[negative] = (-1.0) ** order[negative] * np.conjugate(raw[negative])
     return BoundaryPerturbation(CoefficientSpectrum.from_packed(
         _with_degree_magnitudes(raw, degree, profile.degree_magnitudes())))
 
@@ -142,15 +157,18 @@ def _check_noise_level(delta: float) -> None:
         raise DomainError("noise level delta must be nonnegative")
 
 
-def _with_noise(coefficients: np.ndarray, delta: float, rng, count: int) -> np.ndarray:
-    """`count` rows: the packed `coefficients` plus complex normals, row r's
-    the r-th block of one draw of rng, rescaled so the added coefficient
-    energy is exactly delta^2. The rows are C-contiguous, so each row's
-    energy is summed pairwise, as np.sum sums one 1-D array."""
-    max_degree = math.isqrt(len(coefficients)) - 1
-    noise = _complex_normals(rng, max_degree, count)
-    energy = np.sum(np.abs(noise) ** 2, axis=-1)
-    noise *= (delta / np.sqrt(energy))[:, None]
+def _with_noise(coefficients: np.ndarray, delta: float, rng, count: int,
+                index: np.ndarray) -> np.ndarray:
+    """`count` rows: the packed `coefficients` plus complex normals
+    (`_draw_normals` at `index`, the `_normal_index` of their degree),
+    rescaled so the added coefficient energy is exactly delta^2. The rows
+    are C-contiguous, so each row's energy is summed pairwise, as np.sum
+    sums one 1-D array."""
+    noise = _draw_normals(rng, index, count)
+    moduli = np.abs(noise)
+    energy = np.square(moduli, out=moduli).sum(axis=-1)
+    parts = noise.view(float)  # a real scale, applied to re and im alike
+    parts *= (delta / np.sqrt(energy))[:, None]
     noise += coefficients  # in place, so one (count x slots) array serves
     return noise
 
@@ -165,7 +183,8 @@ def perturb(spectrum: CoefficientSpectrum, delta: float, seed) -> CoefficientSpe
     if delta == 0.0:
         return spectrum
     rng = np.random.default_rng(seed)
-    return CoefficientSpectrum.from_packed(_with_noise(spectrum.coefficients, delta, rng, 1)[0])
+    noise = _with_noise(spectrum.coefficients, delta, rng, 1, _normal_index(spectrum.max_degree))
+    return CoefficientSpectrum.from_packed(noise[0])
 
 
 @dataclass(frozen=True)
@@ -207,13 +226,17 @@ def ksweep(
 
     Rows come in ascending k, replicates in order. The gains of all
     wavenumbers come from one Hankel table (`gain` of the array of k), and
-    their forward maps from one product. Per wavenumber, the `seeds`
-    (>= 1) replicates are the rows of one array, replicate rep's noise the
-    rep-th block of one draw of default_rng(SeedSequence(master_seed,
-    spawn_key=(k_index,))), k_index the wavenumber's position in k_list.
-    The noisy, recovered and error magnitudes of all its replicates come
-    from one bincount; the split, the norms and the budget are one call
-    each on the stacked (wavenumber x seeds x degree) magnitudes.
+    their forward maps from one product; what depends only on the degree
+    (the normals' gather index, the bins) is built once. Per wavenumber,
+    the `seeds` (>= 1) replicates are the rows of one array, replicate
+    rep's noise the rep-th block of one draw of
+    default_rng(SeedSequence(master_seed, spawn_key=(k_index,))), k_index
+    the wavenumber's position in k_list. The inverse overwrites the noisy
+    rows once their moduli are taken, and the noisy, recovered and error
+    magnitudes of all replicates come from one bincount; the slot-level
+    arrays are that one wavenumber's. The split, the norms and the budget
+    are one call each on the stacked (wavenumber x seeds x degree)
+    magnitudes.
 
     Every row is bit-equal to a per-replicate evaluation, and does not
     depend on the number of replicates or on the other wavenumbers. A
@@ -226,9 +249,7 @@ def ksweep(
     seeds = require_count(seeds, "seeds", least=1)
     master_seed = require_count(master_seed, "master_seed")
     for k in k_list:  # before the sort compares them and float() converts them
-        if not isinstance(k, numbers.Real):
-            raise DomainError(f"k must be a real number, got {k!r}")
-        require_finite(k=k)  # a Python int beyond the float range
+        require_real(k=k)
 
     order = sorted(range(len(k_list)), key=lambda i: k_list[i])
     ks = np.array([float(k_list[i]) for i in order])
@@ -245,19 +266,21 @@ def ksweep(
     # (wavenumber x replicate x slot) tensor
     magnitudes = np.empty((3, len(ks), seeds, L + 1))
     bins = (np.arange(3 * seeds)[:, None] * (L + 1) + packed_index(L)[0]).ravel()
+    index = _normal_index(L)
 
     for i, k_index in enumerate(order):
         if delta == 0.0:
             noisy = np.tile(amplitudes[i], (seeds, 1))
         else:
             rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(k_index,)))
-            noisy = _with_noise(amplitudes[i], delta, rng, seeds)
-        recovered = truncated_quotient(noisy, factors[i], int(cutoffs[i]))
+            noisy = _with_noise(amplitudes[i], delta, rng, seeds, index)
         # the moduli of the three feed one bincount (the abs of a modulus is
         # itself), and each bin sums its slots in slot order; the buffer is
-        # made after the noise draw has freed its arrays
+        # made after the noise draw has freed its arrays, and the inverse
+        # and the error overwrite the noisy rows once their moduli are taken
         moduli = np.empty((3, *noisy.shape))
         np.abs(noisy, out=moduli[0])
+        recovered = truncated_quotient(noisy, factors[i], int(cutoffs[i]))
         np.abs(recovered, out=moduli[1])
         recovered -= d.spectrum.coefficients  # the error, in place
         np.abs(recovered, out=moduli[2])

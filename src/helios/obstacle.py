@@ -137,24 +137,25 @@ def truncated_inverse(
 ) -> BoundaryPerturbation:
     """Divide the degrees n <= n_cut by their gain and drop the rest."""
     return BoundaryPerturbation(CoefficientSpectrum.from_packed(
-        truncated_quotient(amplitude.coefficients, factors, n_cut)))
+        truncated_quotient(amplitude.coefficients.copy(), factors, n_cut)))
 
 
 def truncated_quotient(coefficients: np.ndarray, factors: np.ndarray, n_cut: int) -> np.ndarray:
     """Packed coefficients along the last axis (one spectrum, or one per
-    row) with each degree n <= n_cut divided by its gain factors[n] and
-    every degree above n_cut zero: the coefficients of `truncated_inverse`,
-    row by row bit-equal to it."""
-    n_cut = require_count(n_cut, "cutoff n_cut")  # above the degree cap it keeps every degree
+    row), overwritten in place: each degree n <= n_cut divided by its gain
+    factors[n] and every degree above n_cut zero. Returns them; row by row
+    they are the coefficients of `truncated_inverse`, which passes a copy."""
+    # a cutoff above the degree cap keeps every degree, so it may be any size
+    n_cut = require_count(n_cut, "cutoff n_cut", most=math.inf)
     max_degree = math.isqrt(coefficients.shape[-1]) - 1
     kept = (min(n_cut, max_degree) + 1) ** 2  # packing is degree-major: the kept slots lead
-    d = np.zeros_like(coefficients)
+    head = coefficients[..., :kept]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
-        np.divide(coefficients[..., :kept], factors[packed_index(max_degree)[0][:kept]],
-                  out=d[..., :kept])
-    if not np.isfinite(d).all():
+        np.divide(head, factors[packed_index(max_degree)[0][:kept]], out=head)
+    coefficients[..., kept:] = 0.0
+    if not np.isfinite(head).all():
         raise CapacityError("a recovered coefficient exceeds the floating range")
-    return d
+    return coefficients
 
 
 def forward_soft(d: BoundaryPerturbation, k: float, R: float) -> CoefficientSpectrum:

@@ -39,7 +39,7 @@ from .errors import CapacityError, DomainError
 from .field import near_field_trace, sobolev_norm_sq, split_spectrum
 from .harmonics import CoefficientSpectrum, aggregate
 from .specfun import N_MAX_SUPPORTED
-from .util import require_finite, require_positive
+from .util import require_finite, require_positive, require_real
 
 KR_MIN_ESTIMATES = 2.0
 
@@ -164,6 +164,7 @@ def verify_theorem(spectrum: CoefficientSpectrum, k: float, R: float, which: str
     report is row 0 of `verify_magnitudes` of the spectrum's magnitudes
     padded to degree N_MAX_SUPPORTED: every sum runs over the same 61
     degrees, whatever the spectrum's max degree."""
+    require_real(k=k)  # before np.array converts it
     magnitudes = np.zeros((1, N_MAX_SUPPORTED + 1))
     magnitudes[0, : spectrum.max_degree + 1] = aggregate(spectrum)
     split, lhs, M, terms = verify_magnitudes(magnitudes, np.array([k], dtype=float), R, which)
@@ -196,8 +197,8 @@ def corollary_soft_terms(eps1, eps2, E, k, R, d_norm1, variant: str = "T1") -> R
     require_finite(d_norm1=d_norm1)  # before M1 is formed from it
     kr2p1 = k * k * R * R + 1.0
     M1 = _substituted_norm("M1", np.sqrt(kr2p1) / R * d_norm1, d_norm1)
-    terms = _RHS[variant](eps1, eps2, E, k, R, M1)
-    return _terms(*(R * R / kr2p1 * term for term in terms))
+    scale = R * R / kr2p1
+    return _terms(*(scale * term for term in _RHS[variant](eps1, eps2, E, k, R, M1)))
 
 
 @_quiet
@@ -209,5 +210,5 @@ def corollary_hard_terms(eps1, eps2, E, k, R, d_norm1) -> RhsTerms:
     require_finite(d_norm1=d_norm1)  # before M2 is formed from it
     kr2p1 = k * k * R * R + 1.0
     M2 = _substituted_norm("M2", k * k * R * d_norm1 / np.sqrt(kr2p1), d_norm1)
-    terms = rhs_T1der(eps1, eps2, E, k, R, M2)
-    return _terms(*(kr2p1 / (k * k * R * R) / (k * k) * term for term in terms))
+    scale = kr2p1 / (k * k * R * R) / (k * k)
+    return _terms(*(scale * term for term in rhs_T1der(eps1, eps2, E, k, R, M2)))

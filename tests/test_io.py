@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helios.errors import DomainError
 from helios.harmonics import CoefficientSpectrum
 from helios.io import CSV_HEADER, dump_spectrum, fmt, load_spectrum, write_sweep_csv
-from helios.lab import DecayProfile, ksweep, make_real_perturbation, make_spectrum
+from helios.lab import DecayProfile, SweepRow, ksweep, make_real_perturbation, make_spectrum
 
 
 def test_fmt_round_trip():
@@ -260,10 +260,23 @@ class CountingWrites(io.StringIO):
         return super().write(text)
 
 
+# rows no sweep gives, so each line is held to fmt at the edges of the
+# float text: E = inf with eps2 = 0, the smallest subnormal, the largest
+# float, integral floats and negative values
+EDGE_ROWS = [
+    SweepRow(8.0, 0, 2, 0.5, 0.0, math.inf, 1.0, 2.0, 0.0, 0.0, 2.0, 0.25),
+    SweepRow(2.0, 1, 1, 5e-324, 1.7976931348623157e308, -709.782712893384, 5e-324,
+             1.7976931348623157e308, 3.0, 1e16, 1.7976931348623157e308, 1e-300),
+    SweepRow(-3.5, 2, 0, -0.0, -1.25e-7, -1e300, -2.0, -4.5, 123456789012345.0,
+             -0.1, 2**53, -5e-324),
+]
+
+
 @pytest.mark.parametrize("replicates", [0, 1, 3])
 def test_csv_is_one_write_of_the_per_field_text(replicates):
     d = make_real_perturbation(DecayProfile("exponential", 1.0, 4, seed=7))
     rows = ksweep(d, 1.0, [2.0, 4.0, 8.0], 1e-3, replicates, master_seed=0) if replicates else []
+    rows += EDGE_ROWS
     fh = CountingWrites()
     write_sweep_csv(fh, rows)
     names = CSV_HEADER.split(",")

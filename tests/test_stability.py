@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,15 @@ def test_verify_all_estimates_on_decaying_spectrum():
 def test_verify_unknown_estimate():
     with pytest.raises(DomainError):
         verify_theorem(zonal([1.0]), 4.0, 1.0, "T3")
+
+
+@pytest.mark.parametrize("k, message", [
+    (10**400, "k must be finite, got a 1329-bit integer beyond the float range"),
+    ("a", "k must be a real number, got 'a'"),
+], ids=["int-beyond-float", "string"])
+def test_verify_theorem_checks_k_before_converting_it(k, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        verify_theorem(zonal([1.0]), k, 1.0, "T1")
 
 
 def test_corollary_soft_worked_values():
