@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import hankel_table, hankel_value
-from .util import require_count, require_positive
+from .specfun import N_MAX_SUPPORTED, hankel_table, hankel_value
+from .util import require_array_size, require_count, require_positive
 
 _SQRT2_OVER_SQRTPI = math.sqrt(2.0 / math.pi)
 
@@ -135,6 +135,9 @@ def log_grid(tmin: float, tmax: float, points: int) -> np.ndarray:
     if tmax < tmin:
         raise DomainError(f"need tmin <= tmax, got [{tmin}, {tmax}]")
     require_count(points, "points", least=1)
+    # a point's share of `sweep`'s largest arrays: 4 (nmax + 1) int64 row
+    # indices in a column, at most 32 (N_MAX_SUPPORTED + 1) bytes
+    require_array_size(points, "points", 32 * (N_MAX_SUPPORTED + 1))
     _check_certified(tmax)  # before np.logspace, which may overflow past the ceiling
     if points == 1:
         return np.array([tmin])

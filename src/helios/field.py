@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .harmonics import CoefficientSpectrum, SphereGrid, aggregate, synthesize
-from .specfun import hankel_table
+from .specfun import N_MAX_SUPPORTED, hankel_table
 from .util import require_count, require_finite, require_positive
 
 KR_MIN = 0.1
@@ -114,9 +114,12 @@ def near_field_trace(magnitudes, k, R: float) -> tuple[np.ndarray, np.ndarray]:
 def sobolev_norm_sq(values, l: int, R: float):
     """Squared Sobolev norm R^2 sum_{m<=l} sum_n (n/R)^(2m) |v_n|^2 of
     per-degree trace values along the last axis: a float for one trace, an
-    array over the leading axes for several."""
+    array over the leading axes for several. The order l is an integer in
+    [0, N_MAX_SUPPORTED]: the sum takes one pass per order, and helios
+    itself uses l = 0 and l = 1."""
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise DomainError(f"Sobolev order l must be a nonnegative integer, got {l!r}")
+    require_count(l, "Sobolev order l", most=N_MAX_SUPPORTED)
     require_positive(R=R)
     values = _per_degree(values, "values")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError

@@ -191,6 +191,25 @@ def aggregate_bins(coefficients: np.ndarray, bins: np.ndarray, size: int) -> np.
     return np.sqrt(sq)
 
 
+def _legendre_coefficients():
+    """The coefficients of `_legendre_table`'s recurrence for every
+    supported degree, elementwise: degree n's a_nm and b_nm, m = 0..n-1,
+    are rows n(n-1)/2 .. n(n+1)/2 - 1 of the columns a and b, and its
+    diagonal factor -sqrt((2n + 1) / (2n)) is row n - 1 of the third."""
+    n = np.repeat(np.arange(N_MAX_SUPPORTED + 1), np.arange(N_MAX_SUPPORTED + 1))
+    mm = (np.arange(n.size) - n * (n - 1) // 2).astype(float)[:, None]
+    n = n.astype(float)[:, None]
+    a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mm * mm))
+    b = -np.sqrt(((n - 1.0) ** 2 - mm * mm) * (2.0 * n + 1.0)
+                 / ((2.0 * n - 3.0) * (n * n - mm * mm)))
+    d = np.arange(1.0, N_MAX_SUPPORTED + 1.0)
+    return a, b, -np.sqrt((2.0 * d + 1.0) / (2.0 * d))[:, None]
+
+
+_A, _B, _DIAG = _legendre_coefficients()
+_SIGN = (-1.0) ** np.arange(N_MAX_SUPPORTED, 0, -1.0)[:, None]  # (-1)^m for m = 60..1
+
+
 def _legendre_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
     """The real Y_n^m(theta_j, 0) for every packed slot (n, m) up to
     max_degree, one row per slot and one column per colatitude, from the
@@ -204,29 +223,32 @@ def _legendre_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
         b_nm = -sqrt(((n-1)^2 - m^2) (2n + 1) / ((2n - 3) (n^2 - m^2))),
         Y_n^{-m}(theta, 0) = (-1)^m Y_n^m(theta, 0).
 
-    On the Gauss-Legendre colatitudes of every grid up to degree 60 it
-    differs from scipy.special.sph_harm_y by at most 1.4e-14."""
-    x, s = np.cos(theta), np.sin(theta)
-    m = np.arange(max_degree + 1.0)
-    sign = (-1.0) ** m[1:, None]
+    The coefficients of every supported degree are formed once, at import
+    (`_A`, `_B`, `_DIAG`), and a_nm cos(theta) and the diagonal factor
+    times sin(theta) once per table. Degree n's step then reads degrees
+    n - 1 and n - 2 from the table's rows m >= 0, which are contiguous,
+    and writes its own rows, m >= 0 from three products and an add, and
+    m < 0 from one product. Every entry is the same expression, evaluated
+    in the same order, as in a loop that forms each degree's coefficients
+    in its own step; only b_{n,n-1} Y_{n-2}^{n-1}, a product with the zero
+    Y_{n-2}^{n-1}, is not added. The tests hold the table to that loop
+    bit for bit on every grid up to degree 60. On the Gauss-Legendre
+    colatitudes of those grids it differs from scipy.special.sph_harm_y by
+    at most 1.4e-14."""
+    cos_a = _A[: max_degree * (max_degree + 1) // 2] * np.cos(theta)
+    sin_diag = _DIAG[:max_degree] * np.sin(theta)
     table = np.empty(((max_degree + 1) ** 2, len(theta)))
-    # after step n, cur holds rows m = 0..max_degree of degree n and prev
-    # those of degree n - 1 (a row with m above its degree stays zero):
-    # step n writes degree n over degree n - 2 and swaps the two
-    prev = np.zeros((max_degree + 1, len(theta)))
-    cur = np.zeros_like(prev)
-    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for n in range(max_degree + 1):
-        if n > 0:
-            mm = m[:n, None]
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mm * mm))
-            b = -np.sqrt(((n - 1.0) ** 2 - mm * mm) * (2.0 * n + 1.0)
-                         / ((2.0 * n - 3.0) * (n * n - mm * mm)))
-            prev[:n] = a * x * cur[:n] + b * prev[:n]
-            prev[n] = -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[n - 1]
-            prev, cur = cur, prev
-        table[n * n + n: n * n + 2 * n + 1] = cur[: n + 1]
-        table[n * n: n * n + n] = (sign[:n] * cur[1: n + 1])[::-1]
+    table[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for n in range(1, max_degree + 1):
+        # rows of Y_n^0, Y_{n-1}^0 and Y_{n-2}^0, and of a_{n,0} and b_{n,0}
+        row, last, first = n * n + n, n * n - n, n * n - 3 * n + 2
+        lo = n * (n - 1) // 2
+        below = table[last: last + n]  # Y_{n-1}^m, m = 0..n-1
+        out = table[row: row + n]
+        np.multiply(cos_a[lo: lo + n], below, out=out)
+        out[: n - 1] += _B[lo: lo + n - 1] * table[first: first + n - 1]
+        np.multiply(sin_diag[n - 1], below[n - 1], out=table[row + n])
+        np.multiply(_SIGN[N_MAX_SUPPORTED - n:], table[row + n: row: -1], out=table[n * n: row])
     return table
 
 

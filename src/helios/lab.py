@@ -38,7 +38,8 @@ from .obstacle import BoundaryPerturbation, forward_product, gain, truncated_quo
 from .specfun import N_MAX_SUPPORTED
 from .stability import (KR_MIN_ESTIMATES, corollary_hard_terms, corollary_soft_terms,
                         verify_magnitudes)
-from .util import require_count, require_finite, require_positive, require_real
+from .util import (require_array_size, require_count, require_finite, require_positive,
+                   require_real)
 
 
 _DECAY_KINDS = ("exponential", "algebraic")
@@ -250,10 +251,13 @@ def ksweep(
     master_seed = require_count(master_seed, "master_seed")
     for k in k_list:  # before the sort compares them and float() converts them
         require_real(k=k)
+    L = d.spectrum.max_degree
+    # a replicate's share of the largest arrays: 24 (L + 1)^2 bytes of the
+    # moduli of one wavenumber, 24 (L + 1) a wavenumber of the magnitudes
+    require_array_size(seeds, "seeds", 24 * (L + 1) * max(L + 1, len(k_list)))
 
     order = sorted(range(len(k_list)), key=lambda i: k_list[i])
     ks = np.array([float(k_list[i]) for i in order])
-    L = d.spectrum.max_degree
     # one gain row per wavenumber, from one Hankel table, serves the
     # forward map and every replicate's inverse
     factors = gain(kind, ks, R, L)
@@ -324,6 +328,7 @@ def ensemble_magnitudes(size: int, seed: int, kr_range: tuple[float, float]):
     live in the small-data regime eps2 < 1 (so E > 0), and the derivative
     estimate in particular needs E + k > 1."""
     size = require_count(size, "ensemble size", least=1)
+    require_array_size(size, "ensemble size", 16 * (N_MAX_SUPPORTED + 1))  # a complex trace row
     seed = require_count(seed, "seed")
     lo, hi = kr_range
     require_finite(kr_lo=lo, kr_hi=hi)

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DomainError
 
 COUNT_MAX = int(np.iinfo(np.int64).max)
+# numpy refuses an array of more bytes than this ("array is too big")
+ARRAY_BYTES_MAX = int(np.iinfo(np.intp).max)
 
 
 def _is_int(name: str, value) -> bool:
@@ -82,6 +84,16 @@ def require_count(value, what: str, least: int = 0, most: float = COUNT_MAX) -> 
     if count > most:
         raise DomainError(f"{what} must be at most {most}, got {_integer_text(count)}")
     return count
+
+
+def require_array_size(count: int, what: str, bytes_each: int) -> None:
+    """DomainError unless `count` items of `bytes_each` bytes each fit one
+    numpy array (ARRAY_BYTES_MAX): the check of a count, after
+    require_count, that sizes the largest array it makes. A count that
+    passes may still exceed the memory; then numpy raises MemoryError."""
+    if count > ARRAY_BYTES_MAX // bytes_each:
+        raise DomainError(f"{what} {_integer_text(count)} needs an array of more than "
+                          f"{ARRAY_BYTES_MAX} bytes, beyond numpy's limit")
 
 
 def _integer_text(count: int) -> str:

@@ -16,7 +16,7 @@ from helios.field import (
     split_spectrum,
 )
 from helios.harmonics import CoefficientSpectrum, aggregate
-from helios.specfun import hankel_magnitude_oracle, hankel_table
+from helios.specfun import N_MAX_SUPPORTED, hankel_magnitude_oracle, hankel_table
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -136,6 +136,26 @@ def test_sobolev_norm_rejects_a_radius_that_is_not_positive_and_finite(R):
 def test_sobolev_norm_rejects_an_order_that_is_not_a_nonnegative_integer(l):
     with pytest.raises(DomainError, match="^Sobolev order l must be a nonnegative integer"):
         sobolev_norm_sq(np.ones(3), l, 1.0)
+
+
+@pytest.mark.parametrize("l, text", [(N_MAX_SUPPORTED + 1, "61"), (10**6, "1000000"),
+                                     (10**400, "a 1329-bit integer")])
+def test_sobolev_norm_rejects_an_order_above_the_supported_maximum(l, text):
+    # the sum takes one pass per order, so an order of 10**400 would never return
+    with pytest.raises(DomainError, match=f"^Sobolev order l must be at most 60, got {text}$"):
+        sobolev_norm_sq(np.ones(3), l, 1.0)
+
+
+@pytest.mark.parametrize("l, one, two", [
+    (0, "0x1.905c51635aad4p+1", ["0x1.c0d8e1e36da19p-1", "0x1.c0d8e1e36da19p+1"]),
+    (1, "0x1.b40b0472acb4fp+1", ["0x1.27c9d7105ae02p+0", "0x1.27c9d7105ae02p+2"]),
+])
+def test_sobolev_orders_zero_and_one_keep_their_bits(l, one, two):
+    # frozen from the norm before its order had an upper bound
+    values = np.exp(1j * np.arange(21)) / (1.0 + np.arange(21)) ** 2
+    assert float(sobolev_norm_sq(values, l, 1.7)).hex() == one
+    rows = sobolev_norm_sq(np.stack([values, 2 * values]), l, 0.9)
+    assert [float(x).hex() for x in rows] == two
 
 
 def test_sobolev_order_monotone():

@@ -22,6 +22,7 @@ from helios.harmonics import (
     packed_index,
     synthesize,
 )
+from helios.specfun import N_MAX_SUPPORTED
 
 
 def test_index_validation():
@@ -231,6 +232,39 @@ def test_table_matches_scipy(design_degree):
     table = SphereGrid.build(design_degree).table
     assert table.shape == want.shape and table.dtype == np.float64
     assert np.max(np.abs(table - want)) <= 1e-13
+
+
+def per_degree_legendre_table(max_degree, theta):
+    """The table as a loop over n that forms degree n's coefficients in
+    its own step, in two swapped buffers of rows m = 0..max_degree."""
+    x, s = np.cos(theta), np.sin(theta)
+    m = np.arange(max_degree + 1.0)
+    sign = (-1.0) ** m[1:, None]
+    table = np.empty(((max_degree + 1) ** 2, len(theta)))
+    prev = np.zeros((max_degree + 1, len(theta)))
+    cur = np.zeros_like(prev)
+    cur[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for n in range(max_degree + 1):
+        if n > 0:
+            mm = m[:n, None]
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - mm * mm))
+            b = -np.sqrt(((n - 1.0) ** 2 - mm * mm) * (2.0 * n + 1.0)
+                         / ((2.0 * n - 3.0) * (n * n - mm * mm)))
+            prev[:n] = a * x * cur[:n] + b * prev[:n]
+            prev[n] = -math.sqrt((2.0 * n + 1.0) / (2.0 * n)) * s * cur[n - 1]
+            prev, cur = cur, prev
+        table[n * n + n: n * n + 2 * n + 1] = cur[: n + 1]
+        table[n * n: n * n + n] = (sign[:n] * cur[1: n + 1])[::-1]
+    return table
+
+
+def test_table_is_bit_equal_to_the_per_degree_loop():
+    for design_degree in range(N_MAX_SUPPORTED + 1):
+        theta = np.arccos(np.polynomial.legendre.leggauss(design_degree + 1)[0])
+        table = SphereGrid.build(design_degree).table
+        assert table.flags.c_contiguous, design_degree
+        assert table.tobytes() == per_degree_legendre_table(design_degree, theta).tobytes(), \
+            design_degree
 
 
 @pytest.mark.parametrize("design_degree", [0, 1, 7, 30, 40, 60])

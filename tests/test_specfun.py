@@ -199,6 +199,54 @@ def outcome(fn):
     return None
 
 
+def capacity_boundary(n):
+    """Adjacent arguments (fails, works), bisected, below and above which
+    hankel_value(n, .) raises and returns. Near `works` the recurrence of
+    order n runs past CAPACITY_LIMIT, so a table column there is redone
+    by hankel_value."""
+    fails, works = 1e-300, 10.0
+    for _ in range(80):
+        mid = math.sqrt(fails) * math.sqrt(works)  # fails * works may underflow
+        if outcome(lambda: hankel_value(n, mid)) is None:
+            works = mid
+        else:
+            fails = mid
+    return fails, works
+
+
+def test_a_narrow_table_is_bit_equal_to_the_columns_of_a_wide_one(monkeypatch):
+    # up to TABLE_SCALAR_WIDTH arguments the recurrence runs in Python
+    # complex arithmetic, beyond it in numpy rows; `pad` widens any narrow
+    # table past the switch
+    pad = list(np.logspace(0.0, 2.0, specfun.TABLE_SCALAR_WIDTH + 1))
+    redone = []
+    real = specfun.hankel_value
+    monkeypatch.setattr(specfun, "hankel_value", lambda n, t: redone.append(t) or real(n, t))
+    for nmax in range(N_MAX_SUPPORTED + 1):
+        edge = capacity_boundary(nmax)[1]
+        widest = [edge, 0.1, 0.37, 2.0, 55.0, 1e3, 1e150, 1e300]
+        assert len(widest) == specfun.TABLE_SCALAR_WIDTH
+        for ts in ([edge], [0.1], [1e300], [0.1, 7.5], widest):
+            redone.clear()
+            narrow = hankel_table(nmax, ts)
+            assert redone.count(edge) == (nmax + 1) * (edge in ts), (nmax, ts)
+            wide = hankel_table(nmax, ts + pad)
+            for got, full in zip(narrow, wide):
+                assert got.shape == (nmax + 1, len(ts)) and got.flags.c_contiguous
+                assert got.tobytes() == np.ascontiguousarray(full[:, : len(ts)]).tobytes(), \
+                    (nmax, ts)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 60])
+def test_an_empty_table_is_the_same_on_both_paths(monkeypatch, nmax):
+    narrow = hankel_table(nmax, [])
+    monkeypatch.setattr(specfun, "TABLE_SCALAR_WIDTH", -1)  # every table takes numpy rows
+    wide = hankel_table(nmax, [])
+    for got, want in zip(narrow, wide):
+        assert got.shape == want.shape == (nmax + 1, 0)
+        assert got.dtype == want.dtype == complex and got.flags.c_contiguous
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 30, 60, 61])
 def test_table_raises_what_hankel_value_raises(n):
     ts = [1e-300, 1e-200, 1e-4, 1e-3, 0.1, 1.0, 200.0, 1e6, 1e200, 1.7e308]
@@ -219,15 +267,8 @@ def test_table_checks_every_argument():
 
 @pytest.mark.parametrize("n", [1, 30, 60])
 def test_table_capacity_boundary_matches_finite_sum(n):
-    # bisect the argument below which hankel_value(n, .) fails, then check
-    # that the table agrees on both sides of it
-    fails, works = 1e-300, 10.0
-    for _ in range(80):
-        mid = math.sqrt(fails * works)
-        if outcome(lambda: hankel_value(n, mid)) is None:
-            works = mid
-        else:
-            fails = mid
+    # the table agrees with hankel_value on both sides of its boundary
+    fails, works = capacity_boundary(n)
     assert outcome(lambda: hankel_value(n, fails)) is CapacityError
     assert outcome(lambda: hankel_table(n, [fails])) is CapacityError
     values, derivatives = hankel_table(n, [works])

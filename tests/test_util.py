@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from helios import bounds
+from helios.cli import main
 from helios.errors import DomainError
 from helios.field import low_pass
 from helios.lab import DecayProfile, ensemble_verify, ksweep, make_real_perturbation
 from helios.obstacle import incident_trace, truncated_quotient
 from helios.specfun import hankel_value
 from helios.stability import rhs_T1
-from helios.util import require_count, require_finite, require_positive, require_real
+from helios.util import (ARRAY_BYTES_MAX, require_count, require_finite, require_positive,
+                         require_real)
 
 
 def test_require_finite_accepts_finite():
@@ -106,6 +108,32 @@ def test_require_count_rejects(value, least, message):
 def test_a_count_beyond_int64_is_a_domain_error(call, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# each count fits int64, but the largest array it sizes would hold more
+# bytes than numpy allows ("array is too big"): each is rejected before
+# anything is allocated. Only such counts are tried here; one that numpy
+# would accept, such as 2**40 replicates, would really try to allocate.
+@pytest.mark.parametrize("call, what", [
+    (lambda: ksweep(make_real_perturbation(DecayProfile("exponential", 1.0, 3, seed=0)), 1.0,
+                    [4.0], 1e-3, 2**62), "seeds"),
+    (lambda: ensemble_verify(2**62, 0, "T1"), "ensemble size"),
+    (lambda: bounds.sweep(nmax=5, points=2**62), "points"),
+], ids=["ksweep", "ensemble", "bounds-sweep"])
+def test_a_count_beyond_numpys_array_limit_is_a_domain_error(call, what):
+    message = (f"{what} 4611686018427387904 needs an array of more than {ARRAY_BYTES_MAX} "
+               "bytes, beyond numpy's limit")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability-verify", "--ensemble-size", str(2**62)],
+    ["bounds-check", "--nmax", "5", "--points", str(2**62)],
+], ids=["stability-verify", "bounds-check"])
+def test_the_cli_exits_2_for_a_count_beyond_numpys_array_limit(argv, capsys):
+    assert main(argv) == 2
+    assert "beyond numpy's limit" in capsys.readouterr().err
 
 
 def test_a_cutoff_may_exceed_int64():
