@@ -26,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .harmonics import CoefficientSpectrum, SphereGrid, aggregate, synthesize
 from .specfun import N_MAX_SUPPORTED, hankel_table
-from .util import require_count, require_finite, require_positive
+from .util import integer_text, require_count, require_finite, require_positive, require_real
 
 KR_MIN = 0.1
 
@@ -118,7 +118,8 @@ def sobolev_norm_sq(values, l: int, R: float):
     [0, N_MAX_SUPPORTED]: the sum takes one pass per order, and helios
     itself uses l = 0 and l = 1."""
     if not isinstance(l, (int, np.integer)) or l < 0:
-        raise DomainError(f"Sobolev order l must be a nonnegative integer, got {l!r}")
+        got = integer_text(l) if isinstance(l, int) else repr(l)
+        raise DomainError(f"Sobolev order l must be a nonnegative integer, got {got}")
     require_count(l, "Sobolev order l", most=N_MAX_SUPPORTED)
     require_positive(R=R)
     values = _per_degree(values, "values")
@@ -181,14 +182,27 @@ def norm_identity_check(
     spectral identity k^2 R^2 sum a_n^2 |H_n(kR)|^2.
 
     Returns (lhs, rhs); the two agree to ~1e-9 relative for band-limited
-    spectra resolved by the grid.
+    spectra resolved by the grid. k and R are real scalars (DomainError
+    otherwise). Both sides carry the factor k R H_n(kR), which tends to a
+    constant as kR grows, where k^2 and |H_n(kR)|^2 ~ 1/(kR)^2 apart would
+    overflow and underflow.
     """
+    if not isinstance(spectrum, CoefficientSpectrum):
+        raise DomainError(f"spectrum must be a CoefficientSpectrum, got {type(spectrum).__name__}")
+    require_real(k=k, R=R)
     if grid is None:
         grid = SphereGrid.build(spectrum.max_degree)
     h, _ = hankel_factors(spectrum.max_degree, k, R)
-    # per-(m,n) trace coefficients u_{m,n}(R) = k i a_{m,n} H_n(kR)
-    trace = CoefficientSpectrum.from_packed(1j * k * spectrum.coefficients * h[spectrum.degrees])
-    samples = synthesize(trace, grid)
-    lhs = R * R * float(np.real(grid.integrate(samples * np.conjugate(samples))))
-    rhs = k * k * R * R * float(np.sum(aggregate(spectrum) ** 2 * np.abs(h) ** 2))
+    th = (k * R) * h  # finite: hankel_factors checked kR
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as a CapacityError
+        # per-(m,n) trace coefficients R u_{m,n}(R) = i a_{m,n} kR H_n(kR)
+        trace = 1j * spectrum.coefficients * th[spectrum.degrees]
+        if not np.isfinite(trace).all():
+            require_finite(coefficients=spectrum.coefficients)
+            raise CapacityError("near-field trace exceeds the floating range")
+        samples = synthesize(CoefficientSpectrum.from_packed(trace), grid)
+        lhs = float(np.real(grid.integrate(samples * np.conjugate(samples))))
+        rhs = float(np.sum((aggregate(spectrum) * np.abs(th)) ** 2))
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise CapacityError("norm identity exceeds the floating range")
     return lhs, rhs

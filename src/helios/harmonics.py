@@ -6,11 +6,20 @@ Its per-degree magnitudes are one float array: a_n sits in slot n.
 
 A grid of design degree L uses L+1 Gauss-Legendre nodes in cos(theta) and
 2L+1 uniform longitudes, which integrates products Y_n^m * conj(Y_n'^m')
-exactly for n, n' <= L. Both transforms use Y_n^m(theta, phi) =
-Y_n^m(theta, 0) e^{i m phi}: an FFT over longitude, a sum over colatitude.
-The grid's table of Y_n^m(theta_j, 0) comes from the associated-Legendre
-recurrence (`_legendre_table`); only a direct evaluation of one harmonic
-(`SphereGrid.harmonic`) calls scipy.
+exactly for n, n' <= L. The Gauss-Legendre rule comes from one symmetric
+eigensolve of the Legendre recurrence's Jacobi matrix (Golub-Welsch,
+`_gauss_legendre`), not from numpy.polynomial; its weights are 20-50x
+more accurate than numpy's leggauss at 41 and 61 nodes. Every grid's
+nodes, weights and table moved once with that rule: the weights by up to
+1.8e-12 relative, leggauss's own error, and the table by up to 5.4e-13.
+Both transforms use Y_n^m(theta, phi) = Y_n^m(theta, 0) e^{i m phi}: an
+FFT over longitude, a sum over colatitude. The grid's table of Y_n^m(theta_j, 0)
+comes from the associated-Legendre recurrence (`_legendre_table`); only a
+direct evaluation of one harmonic (`SphereGrid.harmonic`) calls scipy.
+
+Both transforms check their arguments' types, and their result for a NaN
+or an infinity: DomainError when the input holds one, CapacityError when
+a finite input overflowed.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, ResolutionError
 from .specfun import N_MAX_SUPPORTED, require_order
+from .util import require_finite
 
 
 def sph_harm_y(n, m, theta, phi):
@@ -252,6 +262,25 @@ def _legendre_table(max_degree: int, theta: np.ndarray) -> np.ndarray:
     return table
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending, by
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix of the Legendre recurrence,
+    zero diagonal and off-diagonal k / sqrt(4k^2 - 1), k = 1..n-1, and each
+    weight is 2 v_0^2, with v_0 the first component of the node's unit
+    eigenvector. The nodes are then made exactly antisymmetric and the
+    weights exactly symmetric. Up to n = 61 the nodes are within 3.3e-16
+    and the weights within 6.3e-14 relative of a 50-digit reference
+    (numpy's leggauss: 1.7e-12). The dense eigensolve is O(n^3); on a
+    2-core x86-64 host it is 2.5-4x faster than leggauss at n = 61 and
+    slower beyond n of about 250 to 300."""
+    k = np.arange(1.0, n)
+    # eigh reads only the lower triangle, so the subdiagonal is the whole matrix
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    w = 2.0 * v[0] ** 2
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
 @dataclass
 class SphereGrid:
     """Quadrature grid on the unit sphere: Gauss-Legendre in colatitude
@@ -266,10 +295,14 @@ class SphereGrid:
 
     @classmethod
     def build(cls, design_degree: int) -> "SphereGrid":
-        packed_index(design_degree)  # checks the degree before leggauss sees it
+        """The grid of a design degree L in [0, N_MAX_SUPPORTED]: the L+1
+        nodes and weights of `_gauss_legendre` in cos(theta), 2L+1 uniform
+        longitudes, and the table of `_legendre_table` at the nodes. The
+        weights are within 6.3e-14 relative of exact up to L = 60."""
+        packed_index(design_degree)  # checks the degree before the rule sees it
         n_theta = design_degree + 1
         n_phi = 2 * design_degree + 1
-        x, w = np.polynomial.legendre.leggauss(n_theta)
+        x, w = _gauss_legendre(n_theta)
         theta_1d = np.arccos(x)
         phi_1d = 2.0 * np.pi * np.arange(n_phi) / n_phi
         theta, phi = np.meshgrid(theta_1d, phi_1d, indexing="ij")
@@ -292,38 +325,61 @@ class SphereGrid:
 
 def _orders(max_degree: int, grid: SphereGrid) -> np.ndarray:
     """Order m of each packed slot up to max_degree, which the grid must resolve."""
+    order = packed_index(max_degree)[1]
+    if not isinstance(grid, SphereGrid):
+        raise DomainError(f"grid must be a SphereGrid, got {type(grid).__name__}")
     if max_degree > grid.design_degree:
         raise ResolutionError(
             f"grid design degree {grid.design_degree} < requested max degree {max_degree}"
         )
-    return packed_index(max_degree)[1]
+    return order
+
+
+def _require_finite_result(result: np.ndarray, what: str, **inputs) -> None:
+    """DomainError naming an input that holds a NaN or an infinity, and
+    CapacityError for finite inputs, unless `result` is finite throughout:
+    a non-finite input always makes a non-finite result, so a finite one
+    needs no check of the inputs."""
+    if not np.isfinite(result).all():
+        require_finite(**inputs)
+        raise CapacityError(f"{what} exceed the floating range")
 
 
 def synthesize(spectrum: CoefficientSpectrum, grid: SphereGrid) -> np.ndarray:
     """Pointwise sum of a_{m,n} Y_n^m over the grid nodes."""
+    if not isinstance(spectrum, CoefficientSpectrum):
+        raise DomainError(f"spectrum must be a CoefficientSpectrum, got {type(spectrum).__name__}")
     order = _orders(spectrum.max_degree, grid)
     n_phi = 2 * grid.design_degree + 1
-    rows = spectrum.coefficients[:, None] * grid.table[: len(order)]
-    # g[m, j] = sum_n a_{m,n} Y_n^m(theta_j, 0), summed from +0.0 in
-    # ascending n; a negative m indexes row m + n_phi, the FFT bin of
-    # e^{i m phi}, so degree n adds its orders 0..n to rows 0..n and its
-    # orders -n..-1 to the last n rows
-    g = np.zeros((n_phi, grid.design_degree + 1), dtype=complex)
-    for n in range(spectrum.max_degree + 1):
-        g[: n + 1] += rows[n * n + n: n * n + 2 * n + 1]
-        g[n_phi - n:] += rows[n * n: n * n + n]
-    return (n_phi * np.fft.ifft(g, axis=0)).T.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rows = spectrum.coefficients[:, None] * grid.table[: len(order)]
+        # g[m, j] = sum_n a_{m,n} Y_n^m(theta_j, 0), summed from +0.0 in
+        # ascending n; a negative m indexes row m + n_phi, the FFT bin of
+        # e^{i m phi}, so degree n adds its orders 0..n to rows 0..n and its
+        # orders -n..-1 to the last n rows
+        g = np.zeros((n_phi, grid.design_degree + 1), dtype=complex)
+        for n in range(spectrum.max_degree + 1):
+            g[: n + 1] += rows[n * n + n: n * n + 2 * n + 1]
+            g[n_phi - n:] += rows[n * n: n * n + n]
+        samples = (n_phi * np.fft.ifft(g, axis=0)).T.ravel()
+    _require_finite_result(samples, "synthesized samples", coefficients=spectrum.coefficients)
+    return samples
 
 
 def analyze(samples: np.ndarray, grid: SphereGrid, max_degree: int) -> CoefficientSpectrum:
     """Coefficients a_{m,n} = <samples, Y_n^m> under grid quadrature."""
     order = _orders(max_degree, grid)
-    samples = np.asarray(samples, dtype=complex)
+    try:
+        samples = np.asarray(samples, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"samples must be an array of numbers: {exc}") from None
     if samples.shape != grid.theta.shape:
         raise DomainError("sample array does not match grid shape")
     n_phi = 2 * grid.design_degree + 1
-    weighted = (grid.weights * samples).reshape(-1, n_phi)
-    # column m mod n_phi of the FFT is sum_i w_j f(theta_j, phi_i) e^{-i m phi_i}
-    fourier = np.fft.fft(weighted, axis=1)
-    coefficients = np.einsum("kj,jk->k", grid.table[: len(order)], fourier[:, order])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        weighted = (grid.weights * samples).reshape(-1, n_phi)
+        # column m mod n_phi of the FFT is sum_i w_j f(theta_j, phi_i) e^{-i m phi_i}
+        fourier = np.fft.fft(weighted, axis=1)
+        coefficients = np.einsum("kj,jk->k", grid.table[: len(order)], fourier[:, order])
+    _require_finite_result(coefficients, "analyzed coefficients", samples=samples)
     return CoefficientSpectrum.from_packed(coefficients)

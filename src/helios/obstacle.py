@@ -45,6 +45,11 @@ class BoundaryPerturbation:
 
     spectrum: CoefficientSpectrum
 
+    def __post_init__(self):
+        if not isinstance(self.spectrum, CoefficientSpectrum):
+            raise DomainError(
+                f"spectrum must be a CoefficientSpectrum, got {type(self.spectrum).__name__}")
+
     def conjugate_symmetry_residual(self) -> float:
         """Max |d_{n,-m} - (-1)^m conj(d_{n,m})| over all indices."""
         mirror = conjugate_mirror(self.spectrum).coefficients
@@ -55,7 +60,10 @@ class BoundaryPerturbation:
         if grid is None:
             grid = SphereGrid.build(self.spectrum.max_degree)
         samples = synthesize(self.spectrum, grid)
-        amplitude = float(np.max(np.abs(samples)))
+        with np.errstate(over="ignore"):  # reported below as a CapacityError
+            amplitude = float(np.max(np.abs(samples)))
+        if not math.isfinite(amplitude):
+            raise CapacityError("perturbation amplitude exceeds the floating range")
         if amplitude == 0.0:
             return 0.0
         return float(np.max(np.abs(samples.imag))) / amplitude

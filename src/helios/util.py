@@ -80,9 +80,9 @@ def require_count(value, what: str, least: int = 0, most: float = COUNT_MAX) -> 
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
     if count < least:
         bound = "nonnegative" if least == 0 else f"at least {least}"
-        raise DomainError(f"{what} must be {bound}, got {_integer_text(count)}")
+        raise DomainError(f"{what} must be {bound}, got {integer_text(count)}")
     if count > most:
-        raise DomainError(f"{what} must be at most {most}, got {_integer_text(count)}")
+        raise DomainError(f"{what} must be at most {most}, got {integer_text(count)}")
     return count
 
 
@@ -92,13 +92,14 @@ def require_array_size(count: int, what: str, bytes_each: int) -> None:
     require_count, that sizes the largest array it makes. A count that
     passes may still exceed the memory; then numpy raises MemoryError."""
     if count > ARRAY_BYTES_MAX // bytes_each:
-        raise DomainError(f"{what} {_integer_text(count)} needs an array of more than "
+        raise DomainError(f"{what} {integer_text(count)} needs an array of more than "
                           f"{ARRAY_BYTES_MAX} bytes, beyond numpy's limit")
 
 
-def _integer_text(count: int) -> str:
+def integer_text(count: int) -> str:
     """count in decimal, or its size once its decimal text would be long
-    (CPython refuses str() beyond 4300 digits)."""
+    (CPython refuses str() beyond 4300 digits): the one way an error
+    message names an integer argument."""
     if count.bit_length() <= 64:
         return str(count)
     return f"a {'negative ' if count < 0 else ''}{count.bit_length()}-bit integer"

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from helios.errors import DomainError, ResolutionError
 from helios.harmonics import (
     CoefficientSpectrum,
     SphereGrid,
+    _gauss_legendre,
     aggregate,
     analyze,
     packed_index,
@@ -227,9 +229,10 @@ def test_synthesize_is_bit_equal_to_the_add_at_scatter(design_degree):
 @pytest.mark.parametrize("design_degree", range(61))
 def test_table_matches_scipy(design_degree):
     degree, order = packed_index(design_degree)
-    theta = np.arccos(np.polynomial.legendre.leggauss(design_degree + 1)[0])
+    grid = SphereGrid.build(design_degree)
+    theta = grid.theta[:: 2 * design_degree + 1]  # the grid's own colatitudes
     want = sph_harm_y(degree[:, None], order[:, None], theta, 0.0).real
-    table = SphereGrid.build(design_degree).table
+    table = grid.table
     assert table.shape == want.shape and table.dtype == np.float64
     assert np.max(np.abs(table - want)) <= 1e-13
 
@@ -260,8 +263,8 @@ def per_degree_legendre_table(max_degree, theta):
 
 def test_table_is_bit_equal_to_the_per_degree_loop():
     for design_degree in range(N_MAX_SUPPORTED + 1):
-        theta = np.arccos(np.polynomial.legendre.leggauss(design_degree + 1)[0])
-        table = SphereGrid.build(design_degree).table
+        grid = SphereGrid.build(design_degree)
+        theta, table = grid.theta[:: 2 * design_degree + 1], grid.table
         assert table.flags.c_contiguous, design_degree
         assert table.tobytes() == per_degree_legendre_table(design_degree, theta).tobytes(), \
             design_degree
@@ -270,13 +273,15 @@ def test_table_is_bit_equal_to_the_per_degree_loop():
 @pytest.mark.parametrize("design_degree", [0, 1, 7, 30, 40, 60])
 def test_table_rows_of_each_order_are_orthonormal(design_degree):
     # 2 pi sum_j w_j Y_n^m(theta_j, 0) Y_n'^m(theta_j, 0) = delta_nn' for
-    # n, n' <= L: the Gauss rule integrates the degree 2L product exactly
+    # n, n' <= L: the Gauss rule integrates the degree 2L product exactly.
+    # The grid's weight at (theta_j, phi_i) is w_j 2 pi / n_phi.
     grid = SphereGrid.build(design_degree)
-    weights = np.polynomial.legendre.leggauss(design_degree + 1)[1]
+    n_phi = 2 * design_degree + 1
+    weights = grid.weights[::n_phi]
     order = packed_index(design_degree)[1]
     for m in range(-design_degree, design_degree + 1):
         rows = grid.table[order == m]
-        gram = 2.0 * math.pi * (rows * weights) @ rows.T
+        gram = n_phi * (rows * weights) @ rows.T
         assert np.max(np.abs(gram - np.eye(len(rows)))) <= 5e-13
 
 
@@ -298,6 +303,49 @@ def test_build_and_transforms_make_no_scipy_call(monkeypatch):
     assert calls == []
     grid.harmonic(2, 1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 62))
+def test_gauss_legendre_rule(n):
+    x, w = _gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    assert -1.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # the exact sum is at most 7 ulp from 2 (at n = 16)
+    assert abs(math.fsum(w) - 2.0) <= 8 * np.spacing(2.0)
+    # the rule is exact for x^(2k), k < n: at most 2.7e-14 relative (n = 61)
+    for k in range(n):
+        exact = 2.0 / (2 * k + 1)
+        assert abs(math.fsum(w * x ** (2 * k)) - exact) <= 1e-13 * exact, k
+    # numpy's leggauss as an independent oracle; its own weights are off by
+    # up to 1.7e-12 relative at n = 61
+    x_np, w_np = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - x_np)) <= 1e-15
+    assert np.max(np.abs(w - w_np) / w_np) <= 2e-12
+
+
+def test_gauss_legendre_one_node():
+    x, w = _gauss_legendre(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
+
+
+def test_grid_builds_make_no_leggauss_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    for design_degree in range(N_MAX_SUPPORTED + 1):
+        grid = SphereGrid.build(design_degree)
+        assert grid.weights.shape == ((design_degree + 1) * (2 * design_degree + 1),)
+
+
+def test_no_helios_module_uses_numpy_polynomial():
+    package = Path(helios.__file__).parent
+    used = [path.name for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "polynomial")
+            or (isinstance(node, (ast.Import, ast.ImportFrom)) and "polynomial" in ast.dump(node))]
+    assert used == []
 
 
 def test_packed_layout():
